@@ -8,6 +8,7 @@
 
 pub mod check;
 pub mod host;
+pub mod pace;
 pub mod probes;
 pub mod report;
 pub mod rng;

@@ -2,6 +2,7 @@
 //! `SolverService`, timed around `submit` and `JobHandle::wait`.
 
 use crate::check::check_solution;
+use crate::pace::Pacer;
 use crate::rng::Rng;
 use crate::solver::{write_spans, System};
 use crate::spans::{totals, Recorder};
@@ -41,6 +42,12 @@ const PARTITION_SAMPLES: usize = 16;
 const MIN_SECOND_SAMPLES: usize = 1000;
 /// The multigrid hierarchy a job-sized grid would need (n = 400).
 const JOB_GRID: (usize, usize) = (20, 20);
+/// Traffic runs in rounds this long, with nothing outstanding between
+/// them, where the pacer measures the host.
+const ROUND: Duration = Duration::from_secs(1);
+/// Reference sweeps per measurement, about 17 ms: too short to pace one
+/// round, so a run is paced by the median of its measurements.
+const ROUND_SWEEPS: usize = 25;
 
 /// The seed's cached structures: random sparse SPD matrices.
 pub fn cached_structures(seed: u64) -> Vec<Arc<CsrMatrix>> {
@@ -243,68 +250,83 @@ fn start(w: Workload, cached: &[Arc<CsrMatrix>], seed: u64, tally: &mut Tally) -
     svc
 }
 
-/// Closed-loop traffic for `budget`: (answered jobs, wall seconds,
-/// fresh structures submitted).
+/// Closed-loop traffic for `budget`, in rounds of at most [`ROUND`]:
+/// (answered jobs, seconds of traffic, fresh structures submitted).
+/// Traced traffic draws jobs from its own stream of the seed. With a
+/// pacer, the host's speed is measured after every round.
 fn traffic(
     r: &Run,
     svc: &SolverService,
     cached: &[Arc<CsrMatrix>],
-    stream: u64,
     budget: Duration,
     rec: Option<&Recorder>,
+    mut pacer: Option<&mut Pacer>,
     tally: &mut Tally,
 ) -> (Vec<JobObs>, f64, Vec<Arc<CsrMatrix>>) {
     let (seed, t) = (r.seed, Instant::now());
-    match r.workload {
-        Workload::ServiceInteractive => {
-            let per_caller: Vec<(Vec<JobObs>, Tally)> = std::thread::scope(|s| {
-                let callers: Vec<_> = (0..INTERACTIVE_CALLERS as u64)
-                    .map(|c| {
-                        s.spawn(move || {
-                            let mut rng = Rng::new(seed, stream * 100 + c);
-                            let (mut obs, mut tally) = (Vec::new(), Tally::default());
-                            while t.elapsed() < budget {
-                                let job = interactive_job(cached, &mut rng);
-                                obs.extend(run_job(svc, job, t, rec, &mut tally));
-                            }
-                            (obs, tally)
+    let stream = if rec.is_some() { 2 } else { 1 };
+    let mut rngs: Vec<Rng> = (0..INTERACTIVE_CALLERS as u64)
+        .map(|c| Rng::new(seed, stream * 100 + c))
+        .collect();
+    let (mut obs, mut fresh) = (Vec::new(), Vec::new());
+    let mut i = stream as usize * 1_000_000;
+    let mut secs = 0.0;
+    while t.elapsed() < budget {
+        let (round, end) = (Instant::now(), (t.elapsed() + ROUND).min(budget));
+        match r.workload {
+            Workload::ServiceInteractive => {
+                let per_caller: Vec<(Vec<JobObs>, Tally)> = std::thread::scope(|s| {
+                    let callers: Vec<_> = rngs
+                        .iter_mut()
+                        .map(|rng| {
+                            s.spawn(move || {
+                                let (mut obs, mut tally) = (Vec::new(), Tally::default());
+                                while t.elapsed() < end {
+                                    let job = interactive_job(cached, rng);
+                                    obs.extend(run_job(svc, job, t, rec, &mut tally));
+                                }
+                                (obs, tally)
+                            })
                         })
-                    })
-                    .collect();
-                callers
-                    .into_iter()
-                    .map(|h| h.join().expect("caller thread"))
-                    .collect()
-            });
-            let mut all = Vec::new();
-            for (obs, t) in per_caller {
-                all.extend(obs);
-                tally.merge(t);
-            }
-            (all, t.elapsed().as_secs_f64(), Vec::new())
-        }
-        _ => {
-            let mut rng = Rng::new(seed, stream * 100);
-            let (mut obs, mut fresh) = (Vec::new(), Vec::new());
-            let mut pending: VecDeque<Pending> = VecDeque::new();
-            let mut i = stream as usize * 1_000_000;
-            loop {
-                while t.elapsed() < budget && pending.len() < BATCH_WINDOW {
-                    let job = batch_job(seed, cached, &mut rng, i);
-                    i += 1;
-                    if job.fresh && fresh.len() < PARTITION_SAMPLES {
-                        fresh.push(job.matrix.clone());
-                    }
-                    pending.extend(submit(svc, job, rec, tally));
+                        .collect();
+                    callers
+                        .into_iter()
+                        .map(|h| h.join().expect("caller thread"))
+                        .collect()
+                });
+                for (o, t) in per_caller {
+                    obs.extend(o);
+                    tally.merge(t);
                 }
-                // The caller redeems its oldest job first, as a pipeline
-                // of outstanding requests would.
-                let Some(p) = pending.pop_front() else { break };
-                obs.extend(finish(p, t, rec, tally));
             }
-            (obs, t.elapsed().as_secs_f64(), fresh)
+            _ => {
+                let rng = &mut rngs[0];
+                let mut pending: VecDeque<Pending> = VecDeque::new();
+                loop {
+                    while t.elapsed() < end && pending.len() < BATCH_WINDOW {
+                        let job = batch_job(seed, cached, rng, i);
+                        i += 1;
+                        if job.fresh && fresh.len() < PARTITION_SAMPLES {
+                            fresh.push(job.matrix.clone());
+                        }
+                        pending.extend(submit(svc, job, rec, tally));
+                    }
+                    // The caller redeems its oldest job first, as a
+                    // pipeline of outstanding requests would, and drains
+                    // the pipeline at the end of the round.
+                    let Some(p) = pending.pop_front() else { break };
+                    obs.extend(finish(p, t, rec, tally));
+                }
+            }
+        }
+        // Nothing is outstanding now: the reference has the host alone,
+        // and its time stays out of the traffic's seconds.
+        secs += round.elapsed().as_secs_f64();
+        if let Some(p) = pacer.as_deref_mut() {
+            p.measure();
         }
     }
+    (obs, secs, fresh)
 }
 
 pub fn run(r: Run) -> Outcome {
@@ -317,6 +339,7 @@ pub fn run(r: Run) -> Outcome {
     ));
     let mut setup_s = Vec::new();
     let mut svc = None;
+    let mut pacer = Pacer::new(ROUND_SWEEPS);
     for _ in 0..SETUP_REPEATS {
         if let Some(old) = svc.take() {
             SolverService::shutdown(old);
@@ -324,33 +347,45 @@ pub fn run(r: Run) -> Outcome {
         let t = Instant::now();
         svc = Some(start(r.workload, &cached, r.seed, &mut out.tally));
         setup_s.push(t.elapsed().as_secs_f64());
+        pacer.measure();
     }
     let svc = svc.expect("at least one set-up");
     if r.trace {
         traced(&r, &svc, &cached, &mut out);
     } else {
         let budget = Duration::from_secs_f64(r.seconds);
-        let (obs, secs, _) = traffic(&r, &svc, &cached, 1, budget, None, &mut out.tally);
-        let lat_ms: Vec<f64> = obs.iter().map(|o| o.latency_s * 1e3).collect();
+        let (obs, secs, _) = traffic(
+            &r,
+            &svc,
+            &cached,
+            budget,
+            None,
+            Some(&mut pacer),
+            &mut out.tally,
+        );
+        // Every wall-clock metric is paced by the host's speed (see `pace`).
+        let pace = pacer.factor();
+        let lat_ms: Vec<f64> = obs.iter().map(|o| o.latency_s * pace * 1e3).collect();
         let m = &mut out.metrics;
-        m.set("setup_s", median(&setup_s));
+        m.set("setup_s", median(&setup_s) * pace);
         m.set(
             "solve_s",
-            median(&obs.iter().map(|o| o.solve_s).collect::<Vec<_>>()),
+            median(&obs.iter().map(|o| o.solve_s * pace).collect::<Vec<_>>()),
         );
         m.set(
             "sim_s",
             median(&obs.iter().map(|o| o.sim_s).collect::<Vec<_>>()),
         );
-        m.set("rps", obs.len() as f64 / secs);
+        m.set("rps", obs.len() as f64 / (secs * pace));
         m.set("latency_p50_ms", percentile(&lat_ms, 50.0));
-        let (p99, windows, in_best) = calmest_second_p99(&obs);
+        let (p99, windows, in_best) = calmest_second_p99(&obs, pace);
         m.set("latency_p99_ms", p99);
         out.notes.push(format!(
             "latency samples: {} jobs; p99 from the calmest of {windows} whole seconds ({in_best} jobs); p99 over the whole run {:?} ms",
             obs.len(),
             percentile(&lat_ms, 99.0)
         ));
+        out.notes.push(pacer.describe());
     }
     let snapshot = svc.shutdown();
     out.notes.push(format!(
@@ -362,9 +397,9 @@ pub fn run(r: Run) -> Outcome {
 
 fn traced(r: &Run, svc: &SolverService, cached: &[Arc<CsrMatrix>], out: &mut Outcome) {
     let half = Duration::from_secs_f64(r.seconds / 2.0);
-    let (plain, plain_s, _) = traffic(r, svc, cached, 1, half, None, &mut out.tally);
+    let (plain, plain_s, _) = traffic(r, svc, cached, half, None, None, &mut out.tally);
     let rec = Recorder::new();
-    let (obs, traced_s, fresh) = traffic(r, svc, cached, 2, half, Some(&rec), &mut out.tally);
+    let (obs, traced_s, fresh) = traffic(r, svc, cached, half, Some(&rec), None, &mut out.tally);
     let m = &mut out.metrics;
     layer_metrics(&obs, m);
     m.set(
@@ -418,18 +453,18 @@ fn traced(r: &Run, svc: &SolverService, cached: &[Arc<CsrMatrix>], out: &mut Out
     ));
 }
 
-/// Nearest-rank p99 latency (ms) of the whole second of the run with the
-/// lowest p99: (p99, whole seconds, jobs in that second). On a host whose
-/// cores are shared with other tenants, stalls come and go over minutes,
-/// and the p99 of a whole run swings far more from run to run than the
-/// p99 of its calmest second. When no second holds enough jobs for a p99
+/// Nearest-rank p99 latency (ms, wall times × `pace`) of the whole
+/// second of the run with the lowest p99: (p99, whole seconds, jobs in
+/// that second). On a host whose cores are shared with other tenants,
+/// stalls come and go over minutes, and the p99 of a whole run swings
+/// far more from run to run than the p99 of its calmest second. When no second holds enough jobs for a p99
 /// with ten samples above it, falls back to the whole run's tail.
-pub fn calmest_second_p99(obs: &[JobObs]) -> (f64, usize, usize) {
+pub fn calmest_second_p99(obs: &[JobObs], pace: f64) -> (f64, usize, usize) {
     let whole = obs.iter().map(|o| o.end_s).fold(0.0, f64::max).floor() as usize;
     let mut seconds: Vec<Vec<f64>> = vec![Vec::new(); whole];
     for o in obs {
         if let Some(s) = seconds.get_mut(o.end_s as usize) {
-            s.push(o.latency_s * 1e3);
+            s.push(o.latency_s * pace * 1e3);
         }
     }
     seconds
@@ -439,7 +474,7 @@ pub fn calmest_second_p99(obs: &[JobObs]) -> (f64, usize, usize) {
         .min_by(|a, b| a.0.total_cmp(&b.0))
         .map_or_else(
             || {
-                let all: Vec<f64> = obs.iter().map(|o| o.latency_s * 1e3).collect();
+                let all: Vec<f64> = obs.iter().map(|o| o.latency_s * pace * 1e3).collect();
                 (crate::stats::tail(&all).1, 0, all.len())
             },
             |(p, n)| (p, whole, n),
@@ -654,10 +689,12 @@ mod tests {
         }
         // A partial third second is ignored.
         all.push(obs(2.5, 0.1));
-        assert_eq!(calmest_second_p99(&all), (990.0, 2, 1000));
+        assert_eq!(calmest_second_p99(&all, 1.0), (990.0, 2, 1000));
+        // Pacing scales every latency.
+        assert_eq!(calmest_second_p99(&all, 0.5), (495.0, 2, 1000));
         // Too few jobs per second: the whole run's tail, p90 of 100 jobs.
         let few: Vec<JobObs> = (0..100).map(|k| obs(k as f64 / 10.0, k as f64)).collect();
-        assert_eq!(calmest_second_p99(&few), (89.0, 0, 100));
+        assert_eq!(calmest_second_p99(&few, 1.0), (89.0, 0, 100));
     }
 
     #[test]

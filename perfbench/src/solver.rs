@@ -2,6 +2,7 @@
 //! multigrid-preconditioned CG on the 3D one, called directly.
 
 use crate::check::check_solution;
+use crate::pace::{Paced, Pacer};
 use crate::rng::Rng;
 use crate::spans::{totals, Recorder};
 use crate::stats::{self, median, percentile};
@@ -31,6 +32,16 @@ const MAX_ITERS: usize = 5000;
 const MIN_SOLVES: usize = 3;
 /// Operator applications that warm the system up inside set-up.
 const WARM_UP_APPLIES: usize = 5;
+
+/// Reference sweeps that pace one set-up and one solve of the workload:
+/// about a tenth of the operation's own time (CG: 25 ms and 0.6 s;
+/// MG: 0.6 s and 0.13 s on the development host).
+fn pace_sweeps(w: Workload) -> (usize, usize) {
+    match w {
+        Workload::CgPoisson2d => (8, 100),
+        _ => (100, 25),
+    }
+}
 
 pub enum System {
     /// `RowwiseCsr::block(poisson_2d, NP, RowAligned)` solved by plain CG.
@@ -132,17 +143,24 @@ fn warm_up(sys: &System, seed: u64) {
     }
 }
 
-/// Set the system up `repeats` times and keep the last:
-/// (system, set-up seconds per repeat, build seconds per repeat).
-pub fn setup(w: Workload, seed: u64, repeats: usize) -> (System, Vec<f64>, Vec<f64>) {
+/// Set the system up `repeats` times, each paced by `pacer`, and keep
+/// the last: (system, set-up times per repeat, build seconds per repeat).
+pub fn setup(
+    w: Workload,
+    seed: u64,
+    repeats: usize,
+    pacer: &mut Pacer,
+) -> (System, Vec<Paced>, Vec<f64>) {
     let (mut setup_s, mut build_s) = (Vec::new(), Vec::new());
     let mut last = None;
     for _ in 0..repeats.max(1) {
         drop(last.take());
-        let t = Instant::now();
-        let (sys, b) = build(w);
-        warm_up(&sys, seed);
-        setup_s.push(t.elapsed().as_secs_f64());
+        let ((sys, b), paced) = pacer.time(|| {
+            let (sys, b) = build(w);
+            warm_up(&sys, seed);
+            (sys, b)
+        });
+        setup_s.push(paced);
         build_s.push(b);
         last = Some(sys);
     }
@@ -158,6 +176,8 @@ pub fn rhs(seed: u64, k: usize, n: usize) -> Vec<f64> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveRecord {
     pub wall_s: f64,
+    /// `wall_s` paced by the host's speed around the solve, when paced.
+    pub paced_s: Option<f64>,
     pub sim_s: f64,
     pub iters: usize,
     pub words: u64,
@@ -202,6 +222,7 @@ pub fn solve_one(
             check_solution(a, &x, &b, TOL).map_err(|e| format!("rhs {k}: {e}"))?;
             Ok(SolveRecord {
                 wall_s,
+                paced_s: None,
                 sim_s: m.elapsed(),
                 iters: st.iterations,
                 words: m.total_words_sent(),
@@ -222,19 +243,30 @@ pub fn solve_one(
     }
 }
 
-/// Solve right-hand sides 0, 1, 2, … until `budget` has passed.
+/// Solve right-hand sides 0, 1, 2, … until `budget` has passed, pacing
+/// each solve when given a pacer.
 pub fn solve_loop(
     sys: &System,
     seed: u64,
     budget: Duration,
     rec: Option<&Recorder>,
+    mut pacer: Option<&mut Pacer>,
     tally: &mut Tally,
 ) -> Vec<SolveRecord> {
     let t = Instant::now();
     let mut out = Vec::new();
     let mut k = 0;
     while k < MIN_SOLVES || t.elapsed() < budget {
-        out.extend(solve_one(sys, seed, k, rec, tally));
+        let solved = solve_one(sys, seed, k, rec, tally);
+        // A failed solve is still followed by the reference, so that the
+        // next solve is paced by the host speed right before it.
+        let paced = pacer
+            .as_deref_mut()
+            .map(|p| p.pace(solved.as_ref().map_or(0.0, |s| s.wall_s)));
+        out.extend(solved.map(|s| SolveRecord {
+            paced_s: paced,
+            ..s
+        }));
         k += 1;
     }
     out
@@ -282,7 +314,8 @@ pub fn run(r: Run) -> Outcome {
     } else {
         3
     };
-    let (sys, setup_s, build_s) = setup(r.workload, r.seed, repeats);
+    let (setup_sweeps, solve_sweeps) = pace_sweeps(r.workload);
+    let (sys, setup_s, build_s) = setup(r.workload, r.seed, repeats, &mut Pacer::new(setup_sweeps));
     let mut out = Outcome::default();
     out.notes.push(format!(
         "system: n={} nnz={} NP={} tol={TOL:e}",
@@ -293,17 +326,18 @@ pub fn run(r: Run) -> Outcome {
     if r.trace {
         traced(&r, &sys, &build_s, &mut out);
     } else {
-        untraced(&r, &sys, &setup_s, &mut out);
+        untraced(&r, &sys, &setup_s, &mut Pacer::new(solve_sweeps), &mut out);
     }
     out
 }
 
-fn untraced(r: &Run, sys: &System, setup_s: &[f64], out: &mut Outcome) {
+fn untraced(r: &Run, sys: &System, setup: &[Paced], pacer: &mut Pacer, out: &mut Outcome) {
     let recs = solve_loop(
         sys,
         r.seed,
         Duration::from_secs_f64(r.seconds),
         None,
+        Some(pacer),
         &mut out.tally,
     );
     if let (System::Cg(_), Some(first)) = (sys, recs.first()) {
@@ -317,13 +351,17 @@ fn untraced(r: &Run, sys: &System, setup_s: &[f64], out: &mut Outcome) {
             ))
         });
     }
-    let wall = col(&recs, |s| s.wall_s);
-    let ms: Vec<f64> = wall.iter().map(|w| w * 1e3).collect();
+    // Every wall-clock metric is paced by the host's speed (see `pace`).
+    let paced: Vec<f64> = recs.iter().filter_map(|s| s.paced_s).collect();
+    let ms: Vec<f64> = paced.iter().map(|w| w * 1e3).collect();
     let m = &mut out.metrics;
-    m.set("setup_s", median(setup_s));
-    m.set("solve_s", median(&wall));
+    m.set(
+        "setup_s",
+        median(&setup.iter().map(|p| p.paced_s).collect::<Vec<_>>()),
+    );
+    m.set("solve_s", median(&paced));
     m.set("sim_s", median(&col(&recs, |s| s.sim_s)));
-    m.set("rps", recs.len() as f64 / wall.iter().sum::<f64>());
+    m.set("rps", paced.len() as f64 / paced.iter().sum::<f64>());
     m.set("latency_p50_ms", percentile(&ms, 50.0));
     let (p, tail) = stats::tail(&ms);
     m.set("latency_p99_ms", tail);
@@ -331,6 +369,11 @@ fn untraced(r: &Run, sys: &System, setup_s: &[f64], out: &mut Outcome) {
         "latency samples: {} solves; latency_p99_ms is p{p}, the highest percentile with {} solves above it",
         recs.len(),
         stats::TAIL_SUPPORT
+    ));
+    out.notes.push(format!(
+        "unpaced wall time: median solve {:?} s, median set-up {:?} s",
+        median(&col(&recs, |s| s.wall_s)),
+        median(&setup.iter().map(|p| p.wall_s).collect::<Vec<_>>())
     ));
     if let Some(first) = recs.first() {
         out.notes.push(format!(
@@ -342,9 +385,9 @@ fn untraced(r: &Run, sys: &System, setup_s: &[f64], out: &mut Outcome) {
 
 fn traced(r: &Run, sys: &System, build_s: &[f64], out: &mut Outcome) {
     let half = Duration::from_secs_f64(r.seconds / 2.0);
-    let plain = solve_loop(sys, r.seed, half, None, &mut out.tally);
+    let plain = solve_loop(sys, r.seed, half, None, None, &mut out.tally);
     let rec = Recorder::new();
-    let wrapped = solve_loop(sys, r.seed, half, Some(&rec), &mut out.tally);
+    let wrapped = solve_loop(sys, r.seed, half, Some(&rec), None, &mut out.tally);
     // The wrappers must not change the program: same solution bits,
     // simulated time and iterations for every right-hand side both
     // halves solved.
