@@ -58,38 +58,59 @@ pub struct MatvecStats {
 // ---------------------------------------------------------------------
 
 /// Row-wise distributed CSR matrix (Scenario 1).
+///
+/// The per-processor flop counts and the ElementBlock fetch traffic
+/// depend only on the matrix and its layout, so they are computed once
+/// at construction.
 #[derive(Debug, Clone)]
 pub struct RowwiseCsr {
     matrix: CsrMatrix,
     /// Ownership of rows (and, by alignment, of `q`): BLOCK by default,
     /// or irregular cuts from a partitioner.
     row_desc: ArrayDescriptor,
-    layout: DataArrayLayout,
+    flops: Vec<usize>,
+    traffic: Vec<Vec<usize>>,
+    remote_words: usize,
 }
 
 impl RowwiseCsr {
-    /// `ALIGN A(:,*) WITH p(:)` + `DISTRIBUTE p(BLOCK)`: block rows.
-    pub fn block(matrix: CsrMatrix, np: usize, layout: DataArrayLayout) -> Self {
+    /// Rows distributed by `row_desc`, data arrays by `layout`.
+    pub fn new(matrix: CsrMatrix, row_desc: ArrayDescriptor, layout: DataArrayLayout) -> Self {
         assert!(matrix.is_square(), "CG matrices are square");
-        let n = matrix.n_rows();
+        assert_eq!(matrix.n_rows(), row_desc.len(), "row descriptor length");
+        let flops = (0..row_desc.np())
+            .map(|p| {
+                2 * row_desc
+                    .global_indices(p)
+                    .iter()
+                    .map(|&r| matrix.row_nnz(r))
+                    .sum::<usize>()
+            })
+            .collect();
+        let traffic = element_block_traffic(&matrix, &row_desc, layout);
+        let remote_words = traffic.iter().flatten().sum();
         RowwiseCsr {
             matrix,
-            row_desc: ArrayDescriptor::block(n, np),
-            layout,
+            row_desc,
+            flops,
+            traffic,
+            remote_words,
         }
+    }
+
+    /// `ALIGN A(:,*) WITH p(:)` + `DISTRIBUTE p(BLOCK)`: block rows.
+    pub fn block(matrix: CsrMatrix, np: usize, layout: DataArrayLayout) -> Self {
+        let n = matrix.n_rows();
+        Self::new(matrix, ArrayDescriptor::block(n, np), layout)
     }
 
     /// Rows distributed by explicit cut points (e.g. from
     /// `CG_BALANCED_PARTITIONER_1`). Data arrays follow the rows
     /// (RowAligned), as the SPARSE_MATRIX trio binding requires.
     pub fn with_row_cuts(matrix: CsrMatrix, np: usize, row_cuts: Vec<usize>) -> Self {
-        assert!(matrix.is_square());
         let n = matrix.n_rows();
-        RowwiseCsr {
-            matrix,
-            row_desc: ArrayDescriptor::new(n, np, DistSpec::IrregularCuts(row_cuts)),
-            layout: DataArrayLayout::RowAligned,
-        }
+        let desc = ArrayDescriptor::new(n, np, DistSpec::IrregularCuts(row_cuts));
+        Self::new(matrix, desc, DataArrayLayout::RowAligned)
     }
 
     pub fn matrix(&self) -> &CsrMatrix {
@@ -105,45 +126,16 @@ impl RowwiseCsr {
     }
 
     /// Flops each processor performs (2 per stored element of its rows).
-    pub fn flops_per_proc(&self) -> Vec<usize> {
-        (0..self.np())
-            .map(|p| {
-                2 * self
-                    .row_desc
-                    .global_indices(p)
-                    .iter()
-                    .map(|&r| self.matrix.row_nnz(r))
-                    .sum::<usize>()
-            })
-            .collect()
+    pub fn flops_per_proc(&self) -> &[usize] {
+        &self.flops
     }
 
     /// The remote `a`/`col` traffic matrix under ElementBlock layout:
     /// `m[s][d]` = words processor `s` (owner of an nz block) must ship
     /// to `d` (owner of the enclosing row). Each missing element costs
-    /// two words (`a(k)` and `col(k)`).
-    pub fn remote_data_traffic(&self) -> Vec<Vec<usize>> {
-        let np = self.np();
-        let mut m = vec![vec![0usize; np]; np];
-        if self.layout == DataArrayLayout::RowAligned {
-            return m;
-        }
-        let nz = self.matrix.nnz();
-        if nz == 0 {
-            return m;
-        }
-        let data_desc = ArrayDescriptor::block(nz, np);
-        let row_ptr = self.matrix.row_ptr();
-        for r in 0..self.matrix.n_rows() {
-            let row_owner = self.row_desc.owner(r);
-            for k in row_ptr[r]..row_ptr[r + 1] {
-                let holder = data_desc.owner(k);
-                if holder != row_owner {
-                    m[holder][row_owner] += 2; // a(k) + col(k)
-                }
-            }
-        }
-        m
+    /// two words (`a(k)` and `col(k)`). All zero under RowAligned.
+    pub fn remote_data_traffic(&self) -> &[Vec<usize>] {
+        &self.traffic
     }
 
     /// `q = Aᵀ p` under the *row-wise* layout — the operation BiCG needs.
@@ -169,7 +161,7 @@ impl RowwiseCsr {
 
         // Local phase: partial q over owned rows (parallel — each
         // processor reads only its own block of p).
-        machine.compute_all(&self.flops_per_proc(), "s1t-local-partial");
+        machine.compute_all(&self.flops, "s1t-local-partial");
 
         // Merge phase: vector-length sum of the NP partials.
         machine.allreduce(n, "s1t-merge-q");
@@ -177,7 +169,7 @@ impl RowwiseCsr {
 
         let mut q_global = self
             .matrix
-            .matvec_transpose(&p.to_global())
+            .matvec_transpose(&p.global_view())
             .expect("validated dims");
         machine.corrupt_slice(&mut q_global);
         let q = DistVector::from_global(self.row_desc.clone(), &q_global);
@@ -204,31 +196,72 @@ impl RowwiseCsr {
         let broadcast_words = p.len();
 
         // Phase 2: remote a/col fetches (ElementBlock only).
-        let traffic = self.remote_data_traffic();
-        let remote_data_words: usize = traffic.iter().map(|r| r.iter().sum::<usize>()).sum();
-        if remote_data_words > 0 {
-            machine.exchange(&traffic, "s1-fetch-acol");
+        if self.remote_words > 0 {
+            machine.exchange(&self.traffic, "s1-fetch-acol");
         }
 
         // Phase 3: local row dot-products (parallel FORALL over rows).
-        machine.compute_all(&self.flops_per_proc(), "s1-local-matvec");
+        machine.compute_all(&self.flops, "s1-local-matvec");
 
-        // Real arithmetic, laid out as q aligned with rows. The bulk
-        // result passes through the fault layer so an armed corruption
-        // damages one element of q, as a flipped bit in a local
-        // row-block product would.
-        let mut q_global = self.matrix.matvec(&p_global).expect("validated dims");
-        machine.corrupt_slice(&mut q_global);
-        let q = DistVector::from_global(self.row_desc.clone(), &q_global);
+        // Real arithmetic: each processor computes its own rows straight
+        // into its part of q. The bulk result passes through the fault
+        // layer so an armed corruption damages one element of q, as a
+        // flipped bit in a local row-block product would.
+        let mut q = DistVector::zeros(self.row_desc.clone());
+        for proc in 0..self.np() {
+            let local = q.local_mut(proc);
+            if self.row_desc.is_ordered() {
+                let rows = self
+                    .row_desc
+                    .contiguous_range(proc)
+                    .expect("ordered layouts are contiguous");
+                for (qr, r) in local.iter_mut().zip(rows) {
+                    *qr = self.matrix.row_dot(r, &p_global);
+                }
+            } else {
+                for (qr, r) in local.iter_mut().zip(self.row_desc.global_indices(proc)) {
+                    *qr = self.matrix.row_dot(r, &p_global);
+                }
+            }
+        }
+        machine.corrupt_at(q.len(), |i, corrupt| q.update(i, corrupt));
 
         let stats = MatvecStats {
             broadcast_words,
-            remote_data_words,
+            remote_data_words: self.remote_words,
             temp_storage_words: p.len(), // the replicated copy of p
             time: machine.elapsed() - t0,
         };
         (q, stats)
     }
+}
+
+/// The ElementBlock `a`/`col` traffic matrix of [`RowwiseCsr`]: the data
+/// arrays are `DISTRIBUTE (BLOCK)` over the `nz` elements, so every
+/// element held away from its row's owner is shipped there.
+fn element_block_traffic(
+    matrix: &CsrMatrix,
+    row_desc: &ArrayDescriptor,
+    layout: DataArrayLayout,
+) -> Vec<Vec<usize>> {
+    let np = row_desc.np();
+    let mut m = vec![vec![0usize; np]; np];
+    let nz = matrix.nnz();
+    if layout == DataArrayLayout::RowAligned || nz == 0 {
+        return m;
+    }
+    let data_desc = ArrayDescriptor::block(nz, np);
+    let row_ptr = matrix.row_ptr();
+    for r in 0..matrix.n_rows() {
+        let row_owner = row_desc.owner(r);
+        for k in row_ptr[r]..row_ptr[r + 1] {
+            let holder = data_desc.owner(k);
+            if holder != row_owner {
+                m[holder][row_owner] += 2; // a(k) + col(k)
+            }
+        }
+    }
+    m
 }
 
 // ---------------------------------------------------------------------
@@ -239,28 +272,47 @@ impl RowwiseCsr {
 #[derive(Debug, Clone)]
 pub struct ColwiseCsc {
     matrix: CscMatrix,
+    /// Ownership of columns: BLOCK or irregular cuts, so always ordered.
     col_desc: ArrayDescriptor,
+    flops: Vec<usize>,
 }
 
 impl ColwiseCsc {
-    /// `ALIGN A(*,:) WITH p(:)` + `DISTRIBUTE p(BLOCK)`: block columns.
-    pub fn block(matrix: CscMatrix, np: usize) -> Self {
+    fn new(matrix: CscMatrix, col_desc: ArrayDescriptor) -> Self {
         assert!(matrix.is_square());
-        let n = matrix.n_cols();
+        let flops = (0..col_desc.np())
+            .map(|p| {
+                2 * Self::owned_cols(&col_desc, p)
+                    .map(|c| matrix.col_nnz(c))
+                    .sum::<usize>()
+            })
+            .collect();
         ColwiseCsc {
             matrix,
-            col_desc: ArrayDescriptor::block(n, np),
+            col_desc,
+            flops,
         }
+    }
+
+    /// `ALIGN A(*,:) WITH p(:)` + `DISTRIBUTE p(BLOCK)`: block columns.
+    pub fn block(matrix: CscMatrix, np: usize) -> Self {
+        let n = matrix.n_cols();
+        Self::new(matrix, ArrayDescriptor::block(n, np))
     }
 
     /// Columns distributed by explicit cut points.
     pub fn with_col_cuts(matrix: CscMatrix, np: usize, col_cuts: Vec<usize>) -> Self {
-        assert!(matrix.is_square());
         let n = matrix.n_cols();
-        ColwiseCsc {
+        Self::new(
             matrix,
-            col_desc: ArrayDescriptor::new(n, np, DistSpec::IrregularCuts(col_cuts)),
-        }
+            ArrayDescriptor::new(n, np, DistSpec::IrregularCuts(col_cuts)),
+        )
+    }
+
+    fn owned_cols(col_desc: &ArrayDescriptor, p: usize) -> std::ops::Range<usize> {
+        col_desc
+            .contiguous_range(p)
+            .expect("column layouts are ordered")
     }
 
     pub fn matrix(&self) -> &CscMatrix {
@@ -276,17 +328,8 @@ impl ColwiseCsc {
     }
 
     /// Flops per processor over its columns.
-    pub fn flops_per_proc(&self) -> Vec<usize> {
-        (0..self.np())
-            .map(|p| {
-                2 * self
-                    .col_desc
-                    .global_indices(p)
-                    .iter()
-                    .map(|&c| self.matrix.col_nnz(c))
-                    .sum::<usize>()
-            })
-            .collect()
+    pub fn flops_per_proc(&self) -> &[usize] {
+        &self.flops
     }
 
     /// The paper's serial Scenario 2 code: element-wise multiplications
@@ -310,10 +353,13 @@ impl ColwiseCsc {
         machine.allgather(words_each, "s2-merge-q");
 
         // Serial compute: dependencies forbid parallel execution.
-        let total_flops: usize = self.flops_per_proc().iter().sum();
+        let total_flops: usize = self.flops.iter().sum();
         machine.compute_serial(total_flops, "s2-serial-matvec");
 
-        let q_global = self.matrix.matvec(&p.to_global()).expect("validated dims");
+        let q_global = self
+            .matrix
+            .matvec(&p.global_view())
+            .expect("validated dims");
         let q = DistVector::from_global(p.descriptor().clone(), &q_global);
 
         let stats = MatvecStats {
@@ -343,14 +389,14 @@ impl ColwiseCsc {
         let np = self.np();
 
         // Parallel local phase over columns (p is aligned: local reads).
-        machine.compute_all(&self.flops_per_proc(), "s2-local-partial");
+        machine.compute_all(&self.flops, "s2-local-partial");
 
         // Really compute the per-processor partials.
-        let p_global = p.to_global();
+        let p_global = p.global_view();
         let mut partials: Vec<Vec<f64>> = vec![vec![0.0; n]; np];
         for proc in 0..np {
             let part = &mut partials[proc];
-            for &j in &self.col_desc.global_indices(proc) {
+            for j in Self::owned_cols(&self.col_desc, proc) {
                 let pj = p_global[j];
                 if pj == 0.0 {
                     continue;
@@ -398,7 +444,7 @@ impl ColwiseCsc {
         assert_eq!(machine.np(), self.np(), "machine size mismatch");
         let t0 = machine.elapsed();
         let p_global = p.allgather(machine, "s2t-bcast-p");
-        machine.compute_all(&self.flops_per_proc(), "s2t-local-dots");
+        machine.compute_all(&self.flops, "s2t-local-dots");
         let q_global = self
             .matrix
             .matvec_transpose(&p_global)
@@ -461,7 +507,7 @@ pub fn dense_colwise_matvec_serial(
     let words_each = n.div_ceil(np);
     machine.allgather(words_each, "dense-s2-merge-q");
     machine.compute_serial(2 * n * a.n_cols(), "dense-s2-serial");
-    let q_global = a.matvec(&p.to_global()).expect("validated dims");
+    let q_global = a.matvec(&p.global_view()).expect("validated dims");
     let q = DistVector::from_global(p.descriptor().clone(), &q_global);
     let stats = MatvecStats {
         broadcast_words: n,
@@ -698,6 +744,6 @@ mod tests {
             let mean = v.iter().sum::<usize>() as f64 / v.len() as f64;
             max / mean
         };
-        assert!(imb(&fb) <= imb(&fn_), "{} vs {}", imb(&fb), imb(&fn_));
+        assert!(imb(fb) <= imb(fn_), "{} vs {}", imb(fb), imb(fn_));
     }
 }

@@ -10,10 +10,17 @@
 //! * `DOT_PRODUCT` does its element-wise multiplies locally and pays one
 //!   scalar all-reduce merge — `t_startup * log N_P` on the hypercube.
 
-use hpf_dist::ArrayDescriptor;
+use std::borrow::Cow;
+
+use hpf_dist::{ArrayDescriptor, DistSpec};
 use hpf_machine::Machine;
 
 /// A distributed 1-D array of `f64` with real per-processor local data.
+///
+/// All local parts live in one contiguous buffer, processor after
+/// processor; `offsets[p]..offsets[p + 1]` is processor `p`'s part. For
+/// ordered layouts ([`ArrayDescriptor::is_ordered`]) the buffer is the
+/// global array itself, so gathering or scattering it is one copy.
 ///
 /// ```
 /// use hpf_core::DistVector;
@@ -32,33 +39,44 @@ use hpf_machine::Machine;
 #[derive(Debug, Clone, PartialEq)]
 pub struct DistVector {
     desc: ArrayDescriptor,
-    local: Vec<Vec<f64>>,
+    data: Vec<f64>,
+    offsets: Vec<usize>,
 }
 
 impl DistVector {
     /// Distribute a global vector according to `desc`.
     pub fn from_global(desc: ArrayDescriptor, global: &[f64]) -> Self {
         assert_eq!(desc.len(), global.len(), "descriptor/data length mismatch");
-        let local = (0..desc.np())
-            .map(|p| desc.global_indices(p).iter().map(|&g| global[g]).collect())
-            .collect();
-        DistVector { desc, local }
+        let data = if desc.is_ordered() {
+            global.to_vec()
+        } else {
+            (0..desc.np())
+                .flat_map(|p| desc.global_indices(p))
+                .map(|g| global[g])
+                .collect()
+        };
+        let offsets = offsets_of(&desc);
+        DistVector {
+            desc,
+            data,
+            offsets,
+        }
     }
 
     /// All-zero distributed vector.
     pub fn zeros(desc: ArrayDescriptor) -> Self {
-        let local = (0..desc.np())
-            .map(|p| vec![0.0; desc.local_len(p)])
-            .collect();
-        DistVector { desc, local }
+        Self::constant(desc, 0.0)
     }
 
     /// Constant-filled distributed vector.
     pub fn constant(desc: ArrayDescriptor, value: f64) -> Self {
-        let local = (0..desc.np())
-            .map(|p| vec![value; desc.local_len(p)])
-            .collect();
-        DistVector { desc, local }
+        let offsets = offsets_of(&desc);
+        let data = vec![value; offsets[desc.np()]];
+        DistVector {
+            desc,
+            data,
+            offsets,
+        }
     }
 
     pub fn descriptor(&self) -> &ArrayDescriptor {
@@ -75,30 +93,56 @@ impl DistVector {
 
     /// Local part of processor `p`.
     pub fn local(&self, p: usize) -> &[f64] {
-        &self.local[p]
+        &self.data[self.offsets[p]..self.offsets[p + 1]]
     }
 
     /// Mutable local part of processor `p`.
-    pub fn local_mut(&mut self, p: usize) -> &mut Vec<f64> {
-        &mut self.local[p]
+    pub fn local_mut(&mut self, p: usize) -> &mut [f64] {
+        &mut self.data[self.offsets[p]..self.offsets[p + 1]]
+    }
+
+    /// The vector in global order, borrowed when the layout is ordered
+    /// (inspection path; does not charge the machine).
+    pub fn global_view(&self) -> Cow<'_, [f64]> {
+        if self.desc.is_ordered() {
+            return Cow::Borrowed(&self.data);
+        }
+        let mut out = vec![0.0; self.desc.len()];
+        for p in 0..self.desc.np() {
+            for (&g, &v) in self.desc.global_indices(p).iter().zip(self.local(p)) {
+                out[g] = v;
+            }
+        }
+        Cow::Owned(out)
     }
 
     /// Gather the vector back to a global array (test/inspection path;
     /// does not charge the machine).
     pub fn to_global(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.desc.len()];
-        for p in 0..self.desc.np() {
-            for (off, &g) in self.desc.global_indices(p).iter().enumerate() {
-                out[g] = self.local[p][off];
-            }
-        }
-        out
+        self.global_view().into_owned()
     }
 
     /// Read one global element (owner lookup; free, for tests).
     pub fn get(&self, i: usize) -> f64 {
-        let p = self.desc.owner(i);
-        self.local[p][self.desc.local_offset(i)]
+        self.data[self.slot(i)]
+    }
+
+    /// Storage index of global element `i` on its owner.
+    fn slot(&self, i: usize) -> usize {
+        self.offsets[self.desc.owner(i)] + self.desc.local_offset(i)
+    }
+
+    /// Replace global element `i` by `f` of itself, in every stored copy.
+    pub(crate) fn update(&mut self, i: usize, f: &dyn Fn(f64) -> f64) {
+        if self.desc.spec() == &DistSpec::Replicated {
+            for p in 0..self.desc.np() {
+                let s = &mut self.data[self.offsets[p] + i];
+                *s = f(*s);
+            }
+        } else {
+            let k = self.slot(i);
+            self.data[k] = f(self.data[k]);
+        }
     }
 
     fn assert_aligned(&self, other: &DistVector, op: &str) {
@@ -112,8 +156,9 @@ impl DistVector {
     /// Per-processor local lengths (the flop distribution of element-wise
     /// ops).
     fn local_flops(&self, per_element: usize) -> Vec<usize> {
-        (0..self.desc.np())
-            .map(|p| per_element * self.local[p].len())
+        self.offsets
+            .windows(2)
+            .map(|w| per_element * (w[1] - w[0]))
             .collect()
     }
 
@@ -125,10 +170,8 @@ impl DistVector {
     /// `x = x + alpha*p` / `r = r - alpha*q` lines.
     pub fn axpy(&mut self, machine: &mut Machine, alpha: f64, x: &DistVector) {
         self.assert_aligned(x, "axpy");
-        for p in 0..self.desc.np() {
-            for (s, &v) in self.local[p].iter_mut().zip(x.local[p].iter()) {
-                *s += alpha * v;
-            }
+        for (s, &v) in self.data.iter_mut().zip(&x.data) {
+            *s += alpha * v;
         }
         let flops = self.local_flops(2);
         machine.compute_all(&flops, "saxpy");
@@ -138,10 +181,8 @@ impl DistVector {
     /// `p = beta*p + r` line.
     pub fn aypx(&mut self, machine: &mut Machine, beta: f64, x: &DistVector) {
         self.assert_aligned(x, "aypx");
-        for p in 0..self.desc.np() {
-            for (s, &v) in self.local[p].iter_mut().zip(x.local[p].iter()) {
-                *s = beta * *s + v;
-            }
+        for (s, &v) in self.data.iter_mut().zip(&x.data) {
+            *s = beta * *s + v;
         }
         let flops = self.local_flops(2);
         machine.compute_all(&flops, "saypx");
@@ -149,10 +190,8 @@ impl DistVector {
 
     /// `self = alpha * self`.
     pub fn scale(&mut self, machine: &mut Machine, alpha: f64) {
-        for p in 0..self.desc.np() {
-            for s in self.local[p].iter_mut() {
-                *s *= alpha;
-            }
+        for s in &mut self.data {
+            *s *= alpha;
         }
         let flops = self.local_flops(1);
         machine.compute_all(&flops, "scale");
@@ -161,16 +200,13 @@ impl DistVector {
     /// Element-wise copy (aligned, communication-free).
     pub fn copy_from(&mut self, other: &DistVector) {
         self.assert_aligned(other, "copy");
-        for p in 0..self.desc.np() {
-            self.local[p].clone_from(&other.local[p]);
-        }
+        self.data.clone_from(&other.data);
+        self.offsets.clone_from(&other.offsets);
     }
 
     /// Set every element to `v` (HPF `q = 0.0` style array assignment).
     pub fn fill(&mut self, v: f64) {
-        for part in &mut self.local {
-            part.iter_mut().for_each(|x| *x = v);
-        }
+        self.data.fill(v);
     }
 
     /// Element-wise combine with an arbitrary function (aligned).
@@ -183,10 +219,8 @@ impl DistVector {
         f: impl Fn(f64, f64) -> f64,
     ) {
         self.assert_aligned(other, "zip_apply");
-        for p in 0..self.desc.np() {
-            for (s, &v) in self.local[p].iter_mut().zip(other.local[p].iter()) {
-                *s = f(*s, v);
-            }
+        for (s, &v) in self.data.iter_mut().zip(&other.data) {
+            *s = f(*s, v);
         }
         let flops = self.local_flops(flops_per_element);
         machine.compute_all(&flops, label);
@@ -205,15 +239,15 @@ impl DistVector {
     /// `t_startup * log N_P` on the hypercube.
     pub fn dot(&self, machine: &mut Machine, other: &DistVector) -> f64 {
         self.assert_aligned(other, "dot");
-        let mut partials = Vec::with_capacity(self.desc.np());
-        for p in 0..self.desc.np() {
-            let s: f64 = self.local[p]
-                .iter()
-                .zip(other.local[p].iter())
-                .map(|(a, b)| a * b)
-                .sum();
-            partials.push(s);
-        }
+        let partials: Vec<f64> = (0..self.desc.np())
+            .map(|p| {
+                self.local(p)
+                    .iter()
+                    .zip(other.local(p))
+                    .map(|(a, b)| a * b)
+                    .sum()
+            })
+            .collect();
         let flops = self.local_flops(2);
         machine.compute_all(&flops, "dot-local");
         machine.allreduce(1, "dot-merge");
@@ -228,7 +262,7 @@ impl DistVector {
     pub fn sum(&self, machine: &mut Machine) -> f64 {
         let mut total = 0.0;
         for p in 0..self.desc.np() {
-            total += self.local[p].iter().sum::<f64>();
+            total += self.local(p).iter().sum::<f64>();
         }
         let flops = self.local_flops(1);
         machine.compute_all(&flops, "sum-local");
@@ -238,17 +272,18 @@ impl DistVector {
 
     /// Euclidean norm via `DOT_PRODUCT` (plus one scalar sqrt).
     pub fn norm2(&self, machine: &mut Machine) -> f64 {
-        self.dot(machine, &self.clone()).sqrt()
+        self.dot(machine, self).sqrt()
     }
 
     /// Replicate the whole vector on every processor via an all-to-all
     /// broadcast (allgather) — the operation Scenario 1's matvec needs.
-    /// Returns the replicated global array and charges
+    /// Returns the replicated global array (borrowed for ordered
+    /// layouts, see [`DistVector::global_view`]) and charges
     /// `t_startup*log NP + t_word*(NP-1)*n/NP`.
-    pub fn allgather(&self, machine: &mut Machine, label: &str) -> Vec<f64> {
+    pub fn allgather(&self, machine: &mut Machine, label: &str) -> Cow<'_, [f64]> {
         let words_each = self.desc.len().div_ceil(self.desc.np().max(1));
         machine.allgather(words_each, label);
-        self.to_global()
+        self.global_view()
     }
 
     /// `!HPF$ REDISTRIBUTE` at the data level: move this vector to a new
@@ -264,14 +299,25 @@ impl DistVector {
             to.np(),
             "redistribute processor-count mismatch"
         );
-        if self.desc.same_layout(&to) {
-            self.desc = to;
-            return;
+        // Aligned layouts move nothing; the storage is still rebuilt, as
+        // specs that agree on owners may still store differently (a
+        // replicated copy per processor, say).
+        if !self.desc.same_layout(&to) {
+            hpf_dist::redistribute::redistribute(machine, &self.desc, &to, label);
         }
-        hpf_dist::redistribute::redistribute(machine, &self.desc, &to, label);
-        self.local = hpf_dist::redistribute::permute_local_data(&self.desc, &to, &self.local);
-        self.desc = to;
+        let moved = DistVector::from_global(to, &self.global_view());
+        *self = moved;
     }
+}
+
+/// Start of each processor's part in the contiguous buffer, plus the end.
+fn offsets_of(desc: &ArrayDescriptor) -> Vec<usize> {
+    let mut offsets = Vec::with_capacity(desc.np() + 1);
+    offsets.push(0);
+    for p in 0..desc.np() {
+        offsets.push(offsets[p] + desc.local_len(p));
+    }
+    offsets
 }
 
 #[cfg(test)]

@@ -220,6 +220,15 @@ impl ArrayDescriptor {
         }
     }
 
+    /// Do the local parts, concatenated in processor order, spell out the
+    /// global array? True for the block family and irregular cuts.
+    pub fn is_ordered(&self) -> bool {
+        matches!(
+            self.spec,
+            DistSpec::Block | DistSpec::BlockK(_) | DistSpec::IrregularCuts(_)
+        )
+    }
+
     /// Per-processor element counts.
     pub fn local_lens(&self) -> Vec<usize> {
         (0..self.np).map(|p| self.local_len(p)).collect()

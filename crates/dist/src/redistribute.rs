@@ -118,31 +118,9 @@ pub fn redistribute_using(
     (next, words)
 }
 
-/// Permute a globally-indexed data vector from one local layout to the
-/// other: given per-processor local data under `from`, produce the
-/// per-processor local data under `to`. (The simulator holds real data;
-/// this performs the actual movement the traffic matrix models.)
-pub fn permute_local_data(
-    from: &ArrayDescriptor,
-    to: &ArrayDescriptor,
-    local: &[Vec<f64>],
-) -> Vec<Vec<f64>> {
-    assert_eq!(from.np(), local.len());
-    let np = from.np();
-    let mut out: Vec<Vec<f64>> = (0..np).map(|p| vec![0.0; to.local_len(p)]).collect();
-    for p in 0..np {
-        for (off, &g) in from.global_indices(p).iter().enumerate() {
-            let d = to.owner(g);
-            out[d][to.local_offset(g)] = local[p][off];
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::DistSpec;
     use hpf_machine::{CostModel, Topology};
 
     #[test]
@@ -180,35 +158,6 @@ mod tests {
         assert!(t > 0.0);
         assert!(m.total_words_sent() > 0);
         assert_eq!(m.trace().count(hpf_machine::EventKind::Redistribute), 1);
-    }
-
-    #[test]
-    fn permute_moves_values_correctly() {
-        let from = ArrayDescriptor::block(6, 2);
-        let to = ArrayDescriptor::cyclic(6, 2);
-        // Global data 10,11,12,13,14,15 laid out under `from`.
-        let local = vec![vec![10.0, 11.0, 12.0], vec![13.0, 14.0, 15.0]];
-        let out = permute_local_data(&from, &to, &local);
-        // Cyclic: p0 owns 0,2,4 -> 10,12,14; p1 owns 1,3,5 -> 11,13,15.
-        assert_eq!(out[0], vec![10.0, 12.0, 14.0]);
-        assert_eq!(out[1], vec![11.0, 13.0, 15.0]);
-    }
-
-    #[test]
-    fn permute_roundtrip_restores() {
-        let a = ArrayDescriptor::block(10, 3);
-        let b = ArrayDescriptor::new(10, 3, DistSpec::IrregularCuts(vec![0, 1, 9, 10]));
-        let local: Vec<Vec<f64>> = (0..3)
-            .map(|p| {
-                a.global_indices(p)
-                    .iter()
-                    .map(|&g| g as f64 * 2.0)
-                    .collect()
-            })
-            .collect();
-        let moved = permute_local_data(&a, &b, &local);
-        let back = permute_local_data(&b, &a, &moved);
-        assert_eq!(back, local);
     }
 
     #[test]

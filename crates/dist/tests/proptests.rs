@@ -143,11 +143,10 @@ proptest! {
         prop_assert!(max <= bound, "LPT load {max} exceeds bound {bound}");
     }
 
-    /// Redistribution conserves data: permuting local data between any
-    /// two layouts and back restores it, and the traffic matrix counts
-    /// exactly the elements that change owner.
+    /// The redistribution traffic matrix counts exactly the elements
+    /// that change owner.
     #[test]
-    fn redistribution_conserves_data(
+    fn redistribution_traffic_counts_owner_changes(
         n in 1usize..120,
         np in 1usize..6,
         seed in any::<u64>(),
@@ -162,18 +161,6 @@ proptest! {
             1 => ArrayDescriptor::block(n, np),
             _ => ArrayDescriptor::new(n, np, DistSpec::CyclicK(2 + (seed as usize % 4))),
         };
-        let local: Vec<Vec<f64>> = (0..np)
-            .map(|p| from.global_indices(p).iter().map(|&g| g as f64 + 0.5).collect())
-            .collect();
-        let moved = redistribute::permute_local_data(&from, &to, &local);
-        for p in 0..np {
-            for (off, &g) in to.global_indices(p).iter().enumerate() {
-                prop_assert_eq!(moved[p][off], g as f64 + 0.5);
-            }
-        }
-        let back = redistribute::permute_local_data(&to, &from, &moved);
-        prop_assert_eq!(back, local);
-
         let words = redistribute::total_words(&from, &to);
         let changed = (0..n).filter(|&i| from.owner(i) != to.owner(i)).count();
         prop_assert_eq!(words, changed);

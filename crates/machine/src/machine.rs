@@ -372,15 +372,20 @@ impl Machine {
     /// fault layer: corrupts at most one element, consuming the armed
     /// corruption.
     pub fn corrupt_slice(&mut self, values: &mut [f64]) {
+        self.corrupt_at(values.len(), |i, corrupt| values[i] = corrupt(values[i]));
+    }
+
+    /// [`Machine::corrupt_slice`] for a bulk result of `len` elements
+    /// not held in global order: `at(i, corrupt)` must replace element
+    /// `i` by `corrupt` of itself. Not called when nothing is armed.
+    pub fn corrupt_at(&mut self, len: usize, at: impl FnOnce(usize, &dyn Fn(f64) -> f64)) {
+        if len == 0 {
+            // Nothing to corrupt here; stay armed for the next
+            // value-producing operation.
+            return;
+        }
         if let Some(c) = self.pending.take() {
-            if values.is_empty() {
-                // Nothing to corrupt here; stay armed for the next
-                // value-producing operation.
-                self.pending = Some(c);
-                return;
-            }
-            let i = c.target() % values.len();
-            values[i] = c.apply_scalar(values[i]);
+            at(c.target() % len, &|v| c.apply_scalar(v));
         }
     }
 
@@ -1295,6 +1300,18 @@ mod tests {
         assert_eq!(m.corrupt_scalar(1.0), 1.0);
         assert_eq!(m.trace().count(EventKind::Fault), 1);
         assert_eq!(m.faults_injected(), 1);
+    }
+
+    #[test]
+    fn corrupt_at_hits_target_mod_len_and_waits_out_empty_results() {
+        let mut m = Machine::new(2, Topology::Hypercube, unit_cost());
+        m.set_fault_plan(FaultPlan::new().with_bit_flip(0, 0, 63, 9));
+        m.compute_uniform(1, "w"); // fires
+        m.corrupt_at(0, |_, _| panic!("nothing to corrupt"));
+        let mut hit = None;
+        m.corrupt_at(4, |i, corrupt| hit = Some((i, corrupt(2.0))));
+        assert_eq!(hit, Some((1, -2.0)));
+        m.corrupt_at(4, |_, _| panic!("consumed"));
     }
 
     #[test]

@@ -202,15 +202,19 @@ impl CsrMatrix {
                 self.n_cols
             )));
         }
-        let mut q = vec![0.0; self.n_rows];
-        for j in 0..self.n_rows {
-            let mut acc = 0.0;
-            for k in self.row_ptr[j]..self.row_ptr[j + 1] {
-                acc += self.values[k] * p[self.col_idx[k]];
-            }
-            q[j] = acc;
+        Ok((0..self.n_rows).map(|j| self.row_dot(j, p)).collect())
+    }
+
+    /// `q(j)` of [`CsrMatrix::matvec`]: row `j` dotted with `p`, summed
+    /// in storage order. Distributed kernels call this per owned row, so
+    /// they reproduce the serial result bit for bit.
+    #[inline]
+    pub fn row_dot(&self, j: usize, p: &[f64]) -> f64 {
+        let mut acc = 0.0;
+        for k in self.row_ptr[j]..self.row_ptr[j + 1] {
+            acc += self.values[k] * p[self.col_idx[k]];
         }
-        Ok(q)
+        acc
     }
 
     /// `q = Aᵀ p` without forming the transpose (scatter order; this is

@@ -182,7 +182,7 @@ fn matrix_market_roundtrip_through_solve() {
 
 #[test]
 fn alignment_graph_drives_real_redistribution() {
-    use hpf::dist::{redistribute, AlignmentGraph, DistSpec};
+    use hpf::dist::{AlignmentGraph, DistSpec};
     // Build the Figure 2 alignment group, then REDISTRIBUTE p and check
     // all aligned arrays move, with data preserved.
     let n = 64;
@@ -194,19 +194,16 @@ fn alignment_graph_drives_real_redistribution() {
     }
     let before = g.descriptor("r").unwrap();
     let data: Vec<f64> = (0..n).map(|i| i as f64).collect();
-    let local_before: Vec<Vec<f64>> = (0..np)
-        .map(|p| before.global_indices(p).iter().map(|&i| data[i]).collect())
-        .collect();
+    let mut r = DistVector::from_global(before, &data);
 
     let moved = g.redistribute("p", DistSpec::Cyclic).unwrap();
     assert_eq!(moved.len(), 5);
     let after = g.descriptor("r").unwrap();
     let mut m = Machine::hypercube(np);
-    redistribute::redistribute(&mut m, &before, &after, "group-move");
-    let local_after = redistribute::permute_local_data(&before, &after, &local_before);
+    r.redistribute(&mut m, after.clone(), "group-move");
     for p in 0..np {
         for (off, &gidx) in after.global_indices(p).iter().enumerate() {
-            assert_eq!(local_after[p][off], data[gidx]);
+            assert_eq!(r.local(p)[off], data[gidx]);
         }
     }
     assert!(m.total_words_sent() > 0);
