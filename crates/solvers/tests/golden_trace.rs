@@ -11,11 +11,19 @@
 //! perturbs the solve without tripping recovery, so the solution bits
 //! record which global element of `q` it hit.
 
+mod digest;
+
+use digest::{digest, observed_digest, DigestObserver};
 use hpf_core::{DataArrayLayout, DistVector, RowwiseCsr};
 use hpf_dist::ArrayDescriptor;
 use hpf_machine::{CostModel, FaultPlan, Machine, Topology};
-use hpf_solvers::{cg_distributed, cg_distributed_protected, RecoveryConfig, StopCriterion};
-use hpf_sparse::gen;
+use hpf_solvers::{
+    bicgstab_distributed_with_observer, cg_distributed, cg_distributed_protected,
+    cg_distributed_protected_with_observer, cg_distributed_with_observer,
+    gmres_distributed_with_observer, pcg_jacobi_distributed_protected_with_observer,
+    pcg_jacobi_distributed_with_observer, RecoveryConfig, StopCriterion,
+};
+use hpf_sparse::{gen, CooMatrix, CsrMatrix};
 
 const NP: usize = 4;
 /// Operation index of the `s1-bcast-p` allgather of the third matvec of
@@ -23,23 +31,10 @@ const NP: usize = 4;
 const FLIP_OP: usize = 43;
 const FLIP_BIT: u8 = 20;
 const FLIP_TARGET: usize = 777;
-
-/// FNV-1a, 64 bit: stable across platforms and toolchains.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>, mut h: u64) -> u64 {
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn digest(m: &Machine, x: &DistVector) -> u64 {
-    let h = fnv1a(m.trace().to_jsonl().into_bytes(), 0xcbf2_9ce4_8422_2325);
-    let h = fnv1a(m.elapsed().to_bits().to_le_bytes(), h);
-    x.to_global()
-        .iter()
-        .fold(h, |h, v| fnv1a(v.to_bits().to_le_bytes(), h))
-}
+/// An exponent-bit flip in the protected PCG-Jacobi solve that recovery
+/// detects and answers with a residual replacement (`on_restart`).
+const PCG_FLIP_OP: usize = 43;
+const PCG_FLIP_BIT: u8 = 62;
 
 fn system(desc: fn(usize, usize) -> ArrayDescriptor) -> (RowwiseCsr, Vec<f64>) {
     let a = gen::poisson_2d(32, 32);
@@ -124,4 +119,176 @@ fn matvec_bit_flip_hits_global_target_under_every_layout() {
         let hit: Vec<usize> = (0..n).filter(|&i| q[i] != clean[i]).collect();
         assert_eq!(hit, vec![FLIP_TARGET % n]);
     }
+}
+
+/// Observer digest of the traced plain CG solve; its trace must match
+/// the unobserved solve's.
+fn plain_observed(desc: fn(usize, usize) -> ArrayDescriptor) -> u64 {
+    let (op, b) = system(desc);
+    let mut m = traced_machine();
+    let mut obs = DigestObserver::default();
+    let stop = StopCriterion::RelativeResidual(1e-8);
+    let (x, stats) = cg_distributed_with_observer(&mut m, &op, &b, stop, 500, &mut obs).unwrap();
+    assert_eq!(obs.iterations, stats.iterations);
+    assert_eq!(digest(&m, &x), plain_solve(desc));
+    obs.hash
+}
+
+/// Observer digest of the protected CG solve with the armed flip; its
+/// trace must match the unobserved solve's.
+fn protected_observed(desc: fn(usize, usize) -> ArrayDescriptor) -> u64 {
+    let (op, b) = system(desc);
+    let mut m = traced_machine();
+    m.set_fault_plan(FaultPlan::new().with_bit_flip(FLIP_OP, 1, FLIP_BIT, FLIP_TARGET));
+    let mut obs = DigestObserver::default();
+    let stop = StopCriterion::RelativeResidual(1e-8);
+    let (x, _, _) = cg_distributed_protected_with_observer(
+        &mut m,
+        &op,
+        &b,
+        stop,
+        500,
+        RecoveryConfig::default(),
+        &mut obs,
+    )
+    .unwrap();
+    assert_eq!(digest(&m, &x), protected_solve_with_flip(desc));
+    obs.hash
+}
+
+#[test]
+fn traced_cg_block_observer_is_pinned() {
+    assert_eq!(
+        plain_observed(ArrayDescriptor::block),
+        0xf60d_79fa_f947_e26f
+    );
+}
+
+#[test]
+fn traced_cg_cyclic_observer_is_pinned() {
+    assert_eq!(
+        plain_observed(ArrayDescriptor::cyclic),
+        0xdea0_51cd_5c92_a123
+    );
+}
+
+#[test]
+fn protected_cg_with_bit_flip_block_observer_is_pinned() {
+    assert_eq!(
+        protected_observed(ArrayDescriptor::block),
+        0x9e9e_19c9_ef53_e4ee
+    );
+}
+
+#[test]
+fn protected_cg_with_bit_flip_cyclic_observer_is_pinned() {
+    assert_eq!(
+        protected_observed(ArrayDescriptor::cyclic),
+        0x74b4_8eda_7f82_ac27
+    );
+}
+
+/// A badly scaled copy of the test system, so the Jacobi scaling is
+/// not a uniform multiple of the identity.
+fn scaled_system() -> (RowwiseCsr, Vec<f64>) {
+    let (op, b) = system(ArrayDescriptor::block);
+    let a = op.matrix();
+    let scale = |i: usize| 1.0 + (i % 7) as f64;
+    let mut coo = CooMatrix::new(a.n_rows(), a.n_cols());
+    for i in 0..a.n_rows() {
+        for (j, v) in a.row(i) {
+            coo.push(i, j, v * scale(i) * scale(j)).unwrap();
+        }
+    }
+    let n = a.n_rows();
+    (
+        RowwiseCsr::new(
+            CsrMatrix::from_coo(&coo),
+            ArrayDescriptor::block(n, NP),
+            DataArrayLayout::RowAligned,
+        ),
+        b,
+    )
+}
+
+#[test]
+fn traced_pcg_jacobi_is_pinned() {
+    let (op, b) = scaled_system();
+    let mut m = traced_machine();
+    let mut obs = DigestObserver::default();
+    let stop = StopCriterion::RelativeResidual(1e-8);
+    let (x, stats) =
+        pcg_jacobi_distributed_with_observer(&mut m, &op, &b, stop, 500, &mut obs).unwrap();
+    assert!(stats.converged);
+    assert_eq!(observed_digest(&m, &x, &obs), 0x80ee_f5bf_6b0f_6668);
+}
+
+#[test]
+fn protected_pcg_jacobi_with_bit_flip_is_pinned() {
+    let (op, b) = scaled_system();
+    let mut m = traced_machine();
+    m.set_fault_plan(FaultPlan::new().with_bit_flip(PCG_FLIP_OP, 1, PCG_FLIP_BIT, FLIP_TARGET));
+    let mut obs = DigestObserver::default();
+    let stop = StopCriterion::RelativeResidual(1e-8);
+    let (x, stats, rec) = pcg_jacobi_distributed_protected_with_observer(
+        &mut m,
+        &op,
+        &b,
+        stop,
+        500,
+        RecoveryConfig::default(),
+        &mut obs,
+    )
+    .unwrap();
+    assert!(stats.converged);
+    assert_eq!(m.faults_injected(), 1);
+    assert_eq!((rec.rollbacks, obs.restarts), (0, 1));
+    assert_eq!(observed_digest(&m, &x, &obs), 0xca4f_ac17_2915_a5f6);
+}
+
+/// Upwinded 1-D convection-diffusion: diagonally dominant, not
+/// symmetric.
+fn nonsymmetric_system() -> (RowwiseCsr, Vec<f64>) {
+    let n = 256;
+    let mut coo = CooMatrix::new(n, n);
+    for i in 0..n {
+        coo.push(i, i, 4.0).unwrap();
+        if i + 1 < n {
+            coo.push(i, i + 1, -1.5).unwrap();
+            coo.push(i + 1, i, -0.5).unwrap();
+        }
+    }
+    let b = (0..n).map(|i| ((i * 7 + 3) % 11) as f64 - 5.0).collect();
+    (
+        RowwiseCsr::new(
+            CsrMatrix::from_coo(&coo),
+            ArrayDescriptor::block(n, NP),
+            DataArrayLayout::RowAligned,
+        ),
+        b,
+    )
+}
+
+#[test]
+fn traced_bicgstab_is_pinned() {
+    let (op, b) = nonsymmetric_system();
+    let mut m = traced_machine();
+    let mut obs = DigestObserver::default();
+    let stop = StopCriterion::RelativeResidual(1e-8);
+    let (x, stats) =
+        bicgstab_distributed_with_observer(&mut m, &op, &b, stop, 500, &mut obs).unwrap();
+    assert!(stats.converged);
+    assert_eq!(observed_digest(&m, &x, &obs), 0x862d_a86c_a4ce_847f);
+}
+
+#[test]
+fn traced_gmres_is_pinned() {
+    let (op, b) = nonsymmetric_system();
+    let mut m = traced_machine();
+    let mut obs = DigestObserver::default();
+    let stop = StopCriterion::RelativeResidual(1e-8);
+    let (x, stats) =
+        gmres_distributed_with_observer(&mut m, &op, &b, 8, stop, 500, &mut obs).unwrap();
+    assert!(stats.converged);
+    assert_eq!(observed_digest(&m, &x, &obs), 0x72e4_67bf_7e64_8f44);
 }
