@@ -4,7 +4,7 @@
 //! [`proptest!`] macro, [`strategy::Strategy`] with
 //! `prop_map`/`prop_flat_map`/`prop_filter`/`prop_recursive`, range and
 //! tuple strategies, a tiny character-class string strategy,
-//! [`collection::vec`], [`Just`](strategy::Just), `prop_oneof!`, and
+//! [`collection::vec`], [`Just`], `prop_oneof!`, and
 //! `any::<T>()` — as a plain deterministic random-case runner.
 //!
 //! Differences from the real crate, by design:
@@ -27,7 +27,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::{Range, RangeInclusive};
 
-    /// Size specification for [`vec`]: an exact `usize`, a `Range`, or a
+    /// Size specification for [`vec()`]: an exact `usize`, a `Range`, or a
     /// `RangeInclusive`.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {

@@ -22,7 +22,7 @@ use hpf_core::{ColwiseCsc, DataArrayLayout, RowwiseCsr};
 use hpf_machine::{CostModel, Machine, Topology};
 use hpf_obs::{BenchRecord, ConvergenceLog, DriftReport, RegressionGate};
 use hpf_solvers::{
-    cg_distributed_with_observer, ColwiseOperator, CscVariant, DistOperator, StopCriterion,
+    pcg_distributed, ColwiseOperator, CscVariant, DistOperator, SolveOptions, StopCriterion,
 };
 use hpf_sparse::{gen, CscMatrix};
 
@@ -42,15 +42,9 @@ fn run_scenario(name: &'static str, op: &dyn DistOperator, b: &[f64], n: usize) 
     let mut m = Machine::new(np, Topology::Hypercube, CostModel::mpp_1995());
     m.set_tracing(true);
     let mut log = ConvergenceLog::new();
-    let (_, stats) = cg_distributed_with_observer(
-        &mut m,
-        op,
-        b,
-        StopCriterion::RelativeResidual(1e-8),
-        20 * n,
-        &mut log,
-    )
-    .expect("SPD system must converge");
+    let opts = SolveOptions::new(StopCriterion::RelativeResidual(1e-8), 20 * n);
+    let (_, stats, _) =
+        pcg_distributed(&mut m, op, b, &opts, &mut log).expect("SPD system must converge");
     assert!(stats.converged, "{name}: CG failed to converge");
     // The telemetry's cumulative predicted clock must agree with the
     // oracle's event-by-event pricing at the last iteration.

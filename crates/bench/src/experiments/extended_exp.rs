@@ -9,7 +9,7 @@ use hpf_dist::ArrayDescriptor;
 use hpf_machine::{CostModel, Machine, Topology};
 use hpf_solvers::{
     bicg_distributed, cg_distributed, gmres, gmres_storage_vectors, nonmonotonicity,
-    residual_history, ColwiseOperator, CscVariant, Method, StopCriterion,
+    residual_history, ColwiseOperator, CscVariant, Method, NullObserver, StopCriterion,
 };
 use hpf_sparse::{gen, CooMatrix, CscMatrix, CsrMatrix, DenseMatrix};
 
@@ -127,7 +127,8 @@ pub fn e17_transpose_asymmetry(n: usize, np: usize) -> Table {
     let (_, b) = gen::rhs_for_known_solution(&a);
     let stop = StopCriterion::RelativeResidual(1e-8);
     let mut m_row = mk();
-    let (_, s_row) = bicg_distributed(&mut m_row, &row_op, &b, stop, 10 * n).unwrap();
+    let (_, s_row) =
+        bicg_distributed(&mut m_row, &row_op, &b, stop, 10 * n, &mut NullObserver).unwrap();
     t.row(vec![
         format!("BiCG ({} iters)", s_row.iterations),
         "row-wise".into(),
@@ -139,7 +140,8 @@ pub fn e17_transpose_asymmetry(n: usize, np: usize) -> Table {
         variant: CscVariant::Temp2d,
     };
     let mut m_col = mk();
-    let (_, s_col) = bicg_distributed(&mut m_col, &col_full, &b, stop, 10 * n).unwrap();
+    let (_, s_col) =
+        bicg_distributed(&mut m_col, &col_full, &b, stop, 10 * n, &mut NullObserver).unwrap();
     t.row(vec![
         format!("BiCG ({} iters)", s_col.iterations),
         "column-wise".into(),

@@ -28,7 +28,7 @@ use crate::table::Table;
 use hpf_machine::{CostModel, Machine, Topology};
 use hpf_mg::{pcg_mg_distributed, GridDims, MgHierarchy, MgPreconditioner};
 use hpf_obs::{BenchRecord, DriftReport, RegressionGate};
-use hpf_solvers::{pcg_jacobi_distributed, StopCriterion};
+use hpf_solvers::{pcg_preconditioned_distributed, JacobiPreconditioner, StopCriterion};
 use hpf_sparse::gen;
 
 /// Drift tolerance band shared with E25 (DESIGN.md §8): every cost
@@ -111,7 +111,8 @@ pub fn e28_with_gate(smoke: bool, gate: &RegressionGate) -> Table {
             .unwrap_or_else(|e| panic!("{}/np{}: {e}", p.family, p.np));
         let ref_op = ref_h.fine_operator();
         let mut m_j = Machine::new(p.np, Topology::Hypercube, CostModel::mpp_1995());
-        let (_, s_j) = pcg_jacobi_distributed(&mut m_j, &ref_op, &b, stop, 50 * n)
+        let jacobi = JacobiPreconditioner::from_operator(&ref_op).expect("Poisson diagonal");
+        let (_, s_j) = pcg_preconditioned_distributed(&mut m_j, &ref_op, &jacobi, &b, stop, 50 * n)
             .expect("Jacobi-PCG on Poisson must converge");
         assert!(
             s_j.converged,

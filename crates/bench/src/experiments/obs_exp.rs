@@ -15,7 +15,7 @@ use crate::table::Table;
 use hpf_core::{DataArrayLayout, RowwiseCsr};
 use hpf_machine::{CostModel, Machine, Topology};
 use hpf_obs::{critical_path, ConvergenceLog, Timeline};
-use hpf_solvers::{cg_distributed, cg_distributed_with_observer, StopCriterion};
+use hpf_solvers::{cg_distributed, pcg_distributed, SolveOptions, StopCriterion};
 use hpf_sparse::gen;
 use std::time::Instant;
 
@@ -66,8 +66,8 @@ pub fn e24_observability_overhead(n: usize, np: usize, reps: usize) -> Table {
         let mut m = machine(np, true);
         let mut log = ConvergenceLog::new();
         let t0 = Instant::now();
-        let (_, s) =
-            cg_distributed_with_observer(&mut m, &op, &b, stop, max_iters, &mut log).expect("SPD");
+        let opts = SolveOptions::new(stop, max_iters);
+        let (_, s, _) = pcg_distributed(&mut m, &op, &b, &opts, &mut log).expect("SPD");
         telemetry = telemetry.min(t0.elapsed().as_secs_f64());
         assert!(s.converged);
         events = m.trace().events().len();

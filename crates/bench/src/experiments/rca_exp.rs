@@ -14,7 +14,7 @@
 //! 2. **Attribution** — a seeded chaos sweep (stall / crash / bit-flip
 //!    storm fault plans, retries disabled so every injected fault
 //!    surfaces as a terminal outcome) ends with the top-ranked
-//!    [`RootCause`] naming the injected fault class on >= 90% of the
+//!    [`RootCause`](hpf_obs::rca::RootCause) naming the injected fault class on >= 90% of the
 //!    bad-outcome jobs.
 //! 3. **Exactness** — every kill / exhaustion / divergence (any outcome
 //!    with a dump trigger) yields exactly one post-mortem: no job dumps

@@ -5,7 +5,7 @@
 //! possible to reduce the communication time if the matrix is
 //! partitioned into regular stripes either in a row-wise or column-wise
 //! fashion." The classical escape (Kumar et al., *Introduction to
-//! Parallel Computing* — the paper's reference [17]) is the 2-D
+//! Parallel Computing* — the paper's reference \[17\]) is the 2-D
 //! checkerboard: on a `√P x √P` processor grid,
 //!
 //! * the input vector is allgathered only within each *column group*

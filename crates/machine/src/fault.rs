@@ -7,7 +7,7 @@
 //! seed reproduces exactly the same fault sequence on every run — the
 //! property the recovery tests and the E23 fault sweep rely on.
 //!
-//! The machine consults a [`FaultInjector`] at the start of every public
+//! The machine consults a `FaultInjector` at the start of every public
 //! operation (compute phase, collective, message). Faults take effect in
 //! two ways:
 //!

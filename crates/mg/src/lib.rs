@@ -18,8 +18,8 @@
 //!   exchange.
 //! * [`MgPreconditioner`] — the V(1,1)-cycle as a
 //!   [`DistPreconditioner`](hpf_solvers::DistPreconditioner), plugging
-//!   into every `pcg_*` entry point including the protected
-//!   checkpoint/rollback variants. Restriction and prolongation are
+//!   into [`hpf_solvers::pcg_distributed`] with or without
+//!   checkpoint/rollback recovery. Restriction and prolongation are
 //!   typed `Redistribute` events between level descriptors; all events
 //!   carry `vcycle/level=l/...` span paths.
 //!
@@ -49,12 +49,14 @@ pub use vcycle::MgPreconditioner;
 use hpf_core::DistVector;
 use hpf_machine::Machine;
 use hpf_solvers::{
-    pcg_preconditioned_distributed_protected_with_observer,
-    pcg_preconditioned_distributed_with_observer, IterObserver, NullObserver, RecoveryConfig,
-    RecoveryStats, SolveStats, SolverError, StopCriterion,
+    pcg_distributed, NullObserver, SolveOptions, SolveStats, SolverError, StopCriterion,
 };
 
-/// Multigrid-preconditioned CG over the hierarchy's finest operator.
+/// Multigrid-preconditioned CG over the hierarchy's finest operator,
+/// without an observer: a forward to [`pcg_distributed`], kept with this
+/// signature because the benchmark harness calls it. For an observer or
+/// checkpoint/rollback recovery, call [`pcg_distributed`] with
+/// `pre.hierarchy().fine_operator()` and `precond: Some(&pre)`.
 pub fn pcg_mg_distributed(
     machine: &mut Machine,
     pre: &MgPreconditioner,
@@ -62,68 +64,52 @@ pub fn pcg_mg_distributed(
     stop: StopCriterion,
     max_iters: usize,
 ) -> Result<(DistVector, SolveStats), SolverError> {
-    pcg_mg_distributed_with_observer(machine, pre, b_global, stop, max_iters, &mut NullObserver)
-}
-
-/// [`pcg_mg_distributed`] with per-iteration telemetry.
-pub fn pcg_mg_distributed_with_observer(
-    machine: &mut Machine,
-    pre: &MgPreconditioner,
-    b_global: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-    obs: &mut dyn IterObserver,
-) -> Result<(DistVector, SolveStats), SolverError> {
+    let opts = SolveOptions {
+        precond: Some(pre),
+        ..SolveOptions::new(stop, max_iters)
+    };
     let op = pre.hierarchy().fine_operator();
-    pcg_preconditioned_distributed_with_observer(machine, &op, pre, b_global, stop, max_iters, obs)
-}
-
-/// Fault-tolerant multigrid-preconditioned CG (checkpoint/rollback).
-pub fn pcg_mg_distributed_protected(
-    machine: &mut Machine,
-    pre: &MgPreconditioner,
-    b_global: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-    config: RecoveryConfig,
-) -> Result<(DistVector, SolveStats, RecoveryStats), SolverError> {
-    pcg_mg_distributed_protected_with_observer(
-        machine,
-        pre,
-        b_global,
-        stop,
-        max_iters,
-        config,
-        &mut NullObserver,
-    )
-}
-
-/// [`pcg_mg_distributed_protected`] with per-iteration telemetry.
-pub fn pcg_mg_distributed_protected_with_observer(
-    machine: &mut Machine,
-    pre: &MgPreconditioner,
-    b_global: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-    config: RecoveryConfig,
-    obs: &mut dyn IterObserver,
-) -> Result<(DistVector, SolveStats, RecoveryStats), SolverError> {
-    let op = pre.hierarchy().fine_operator();
-    pcg_preconditioned_distributed_protected_with_observer(
-        machine, &op, pre, b_global, stop, max_iters, config, obs,
-    )
+    pcg_distributed(machine, &op, b_global, &opts, &mut NullObserver).map(|(x, s, _)| (x, s))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpf_core::RowwiseCsr;
     use hpf_machine::{CostModel, FaultPlan, FaultRates, Topology};
-    use hpf_solvers::{pcg_jacobi_distributed, RecordingObserver};
+    use hpf_solvers::{
+        pcg_preconditioned_distributed, IterObserver, JacobiPreconditioner, RecordingObserver,
+        RecoveryConfig, RecoveryStats,
+    };
     use hpf_sparse::gen;
     use proptest::prelude::*;
 
     fn machine(np: usize) -> Machine {
         Machine::new(np, Topology::Hypercube, CostModel::mpp_1995())
+    }
+
+    fn jacobi_pcg(m: &mut Machine, op: &RowwiseCsr, b: &[f64], stop: StopCriterion) -> SolveStats {
+        let jacobi = JacobiPreconditioner::from_operator(op).unwrap();
+        pcg_preconditioned_distributed(m, op, &jacobi, b, stop, 5000)
+            .unwrap()
+            .1
+    }
+
+    fn protected_mg_pcg(
+        m: &mut Machine,
+        pre: &MgPreconditioner,
+        b: &[f64],
+        stop: StopCriterion,
+        obs: &mut dyn IterObserver,
+    ) -> (DistVector, SolveStats, RecoveryStats) {
+        let opts = SolveOptions {
+            precond: Some(pre),
+            recovery: Some(RecoveryConfig::default()),
+            ..SolveOptions::new(stop, 500)
+        };
+        let op = pre.hierarchy().fine_operator();
+        let (x, s, rec) = pcg_distributed(m, &op, b, &opts, obs).unwrap();
+        (x, s, rec.unwrap())
     }
 
     #[test]
@@ -135,7 +121,7 @@ mod tests {
         let stop = StopCriterion::RelativeResidual(1e-8);
 
         let mut m_j = machine(np);
-        let (_, s_j) = pcg_jacobi_distributed(&mut m_j, &op, &b, stop, 5000).unwrap();
+        let s_j = jacobi_pcg(&mut m_j, &op, &b, stop);
         let pre = MgPreconditioner::new(h);
         let mut m_mg = machine(np);
         let (x, s_mg) = pcg_mg_distributed(&mut m_mg, &pre, &b, stop, 5000).unwrap();
@@ -173,9 +159,7 @@ mod tests {
 
         let mut m = machine(np);
         m.set_fault_plan(FaultPlan::new().with_bit_flip(40, 1, 62, 3));
-        let (x, s, rec) =
-            pcg_mg_distributed_protected(&mut m, &pre, &b, stop, 500, RecoveryConfig::default())
-                .unwrap();
+        let (x, s, rec) = protected_mg_pcg(&mut m, &pre, &b, stop, &mut NullObserver);
         assert!(s.converged, "{s:?} {rec:?}");
         let err: f64 = x
             .to_global()
@@ -204,16 +188,8 @@ mod tests {
                 FaultRates::transient(0.002),
             ));
             let mut obs = RecordingObserver::new();
-            let (_, s, _) = pcg_mg_distributed_protected_with_observer(
-                &mut m,
-                &pre,
-                &b,
-                StopCriterion::RelativeResidual(1e-9),
-                500,
-                RecoveryConfig::default(),
-                &mut obs,
-            )
-            .unwrap();
+            let stop = StopCriterion::RelativeResidual(1e-9);
+            let (_, s, _) = protected_mg_pcg(&mut m, &pre, &b, stop, &mut obs);
             assert!(s.converged);
             let mut csv = String::from("iteration,residual_norm,sim_time,rollbacks\n");
             for s in &obs.samples {
@@ -237,7 +213,7 @@ mod tests {
         let op = h.fine_operator();
         let stop = StopCriterion::RelativeResidual(1e-8);
         let mut m_j = machine(np);
-        let (_, s_j) = pcg_jacobi_distributed(&mut m_j, &op, &b, stop, 5000).unwrap();
+        let s_j = jacobi_pcg(&mut m_j, &op, &b, stop);
         let pre = MgPreconditioner::new(h);
         let mut m = machine(np);
         let (_, s) = pcg_mg_distributed(&mut m, &pre, &b, stop, 5000).unwrap();

@@ -10,11 +10,8 @@ mod digest;
 
 use digest::{observed_digest, DigestObserver};
 use hpf_machine::{CostModel, FaultPlan, Machine, Topology};
-use hpf_mg::{
-    pcg_mg_distributed_protected_with_observer, pcg_mg_distributed_with_observer, GridDims,
-    MgHierarchy, MgPreconditioner,
-};
-use hpf_solvers::{RecoveryConfig, StopCriterion};
+use hpf_mg::{GridDims, MgHierarchy, MgPreconditioner};
+use hpf_solvers::{pcg_distributed, RecoveryConfig, SolveOptions, StopCriterion};
 
 const NP: usize = 4;
 /// An exponent-bit flip that recovery detects and answers with one
@@ -36,9 +33,12 @@ fn setup() -> (MgPreconditioner, Vec<f64>, Machine) {
 fn traced_mg_pcg_is_pinned() {
     let (pre, b, mut m) = setup();
     let mut obs = DigestObserver::default();
-    let stop = StopCriterion::RelativeResidual(1e-8);
-    let (x, stats) =
-        pcg_mg_distributed_with_observer(&mut m, &pre, &b, stop, 200, &mut obs).unwrap();
+    let opts = SolveOptions {
+        precond: Some(&pre),
+        ..SolveOptions::new(StopCriterion::RelativeResidual(1e-8), 200)
+    };
+    let op = pre.hierarchy().fine_operator();
+    let (x, stats, _) = pcg_distributed(&mut m, &op, &b, &opts, &mut obs).unwrap();
     assert!(stats.converged);
     assert_eq!(observed_digest(&m, &x, &obs), 0x3d11_2b32_a620_e8e8);
 }
@@ -48,17 +48,14 @@ fn protected_mg_pcg_with_bit_flip_is_pinned() {
     let (pre, b, mut m) = setup();
     m.set_fault_plan(FaultPlan::new().with_bit_flip(FLIP_OP, 1, FLIP_BIT, FLIP_TARGET));
     let mut obs = DigestObserver::default();
-    let stop = StopCriterion::RelativeResidual(1e-8);
-    let (x, stats, rec) = pcg_mg_distributed_protected_with_observer(
-        &mut m,
-        &pre,
-        &b,
-        stop,
-        200,
-        RecoveryConfig::default(),
-        &mut obs,
-    )
-    .unwrap();
+    let opts = SolveOptions {
+        precond: Some(&pre),
+        recovery: Some(RecoveryConfig::default()),
+        ..SolveOptions::new(StopCriterion::RelativeResidual(1e-8), 200)
+    };
+    let op = pre.hierarchy().fine_operator();
+    let (x, stats, rec) = pcg_distributed(&mut m, &op, &b, &opts, &mut obs).unwrap();
+    let rec = rec.unwrap();
     assert!(stats.converged);
     assert_eq!(m.faults_injected(), 1);
     assert_eq!((rec.rollbacks, obs.rollbacks), (1, 1));

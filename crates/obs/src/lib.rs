@@ -10,7 +10,7 @@
 //!   event carries a `/`-joined path like `solve/iter=12/matvec`
 //!   describing *what the program was doing* when the event occurred.
 //! - **Telemetry** — [`ConvergenceLog`] records the per-iteration
-//!   [`IterSample`](hpf_solvers::IterSample) stream (residual, α/β,
+//!   [`IterSample`] stream (residual, α/β,
 //!   flops, comm, rollbacks) and round-trips it through CSV.
 //! - **Timelines** — [`timeline::Timeline`] reconstructs per-processor
 //!   busy intervals from event `start`/`proc_times` stamps.

@@ -7,7 +7,7 @@
 //! - one *process* (`pid` 0) represents the simulated machine;
 //! - each simulated processor is a *thread* (`tid` = processor rank),
 //!   named via `thread_name` metadata events;
-//! - every [`Slice`](crate::timeline::Slice) becomes a complete event
+//! - every [`Slice`] becomes a complete event
 //!   (`ph: "X"`) with `ts`/`dur` in microseconds (simulated seconds ×
 //!   10⁶ — the cost model's natural unit is seconds);
 //! - zero-duration slices (instantaneous faults) become thread-scoped

@@ -29,8 +29,9 @@ use hpf_dist::redistribute::redistribute_using;
 use hpf_dist::Partitioner;
 use hpf_machine::predict::predicted_or_measured_total;
 use hpf_machine::{Event, EventKind, Machine};
-use hpf_solvers::cg::cg_distributed_with_observer;
-use hpf_solvers::{IterObserver, SolveStats, SolverError, StopCriterion};
+use hpf_solvers::{
+    pcg_distributed, IterObserver, SolveOptions, SolveStats, SolverError, StopCriterion,
+};
 use hpf_sparse::CsrMatrix;
 
 /// Thresholds and cadence for mid-solve repartitioning.
@@ -196,14 +197,8 @@ pub fn cg_auto_repartition(
         // Residual-correction restart: solve A·e = r to the *global*
         // absolute target, so the segment's recurrence residual tracks
         // ‖b − A(x+e)‖ directly.
-        let (e_dist, seg) = cg_distributed_with_observer(
-            machine,
-            &op,
-            &r,
-            StopCriterion::AbsoluteResidual(target_abs),
-            segment_iters,
-            obs,
-        )?;
+        let opts = SolveOptions::new(StopCriterion::AbsoluteResidual(target_abs), segment_iters);
+        let (e_dist, seg, _) = pcg_distributed(machine, &op, &r, &opts, obs)?;
         let e = e_dist.to_global();
         for (xi, ei) in x.iter_mut().zip(e.iter()) {
             *xi += ei;

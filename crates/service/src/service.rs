@@ -409,22 +409,28 @@ fn validate(request: &SolveRequest) -> Result<(), String> {
     if request.max_iters == 0 {
         return Err("max_iters must be positive".into());
     }
-    if let crate::request::SolverKind::PcgMg { levels } = request.solver {
-        let dims = request
-            .grid
-            .ok_or("pcg-mg requires grid dims (SolveRequest::grid)")?;
-        if dims.n() != a.n_rows() {
-            return Err(format!(
-                "grid {dims} has {} unknowns, matrix has {}",
-                dims.n(),
-                a.n_rows()
-            ));
+    match request.solver {
+        crate::request::SolverKind::PcgMg { levels } => {
+            let dims = request
+                .grid
+                .ok_or("pcg-mg requires grid dims (SolveRequest::grid)")?;
+            if dims.n() != a.n_rows() {
+                return Err(format!(
+                    "grid {dims} has {} unknowns, matrix has {}",
+                    dims.n(),
+                    a.n_rows()
+                ));
+            }
+            if !dims.supports_levels(levels) {
+                return Err(format!(
+                    "grid {dims} cannot support a {levels}-level hierarchy"
+                ));
+            }
         }
-        if !dims.supports_levels(levels) {
-            return Err(format!(
-                "grid {dims} cannot support a {levels}-level hierarchy"
-            ));
+        crate::request::SolverKind::Gmres { restart: 0 } => {
+            return Err("gmres needs a restart length of at least 1".into());
         }
+        _ => {}
     }
     if hpf_partition::by_name(&request.partitioner).is_none() {
         return Err(format!(

@@ -26,11 +26,9 @@ use crate::supervisor::{CurrentJob, SupervisorAbort, WorkerState};
 use hpf_core::RowwiseCsr;
 use hpf_machine::{CostModel, Machine};
 use hpf_solvers::{
-    bicg_distributed_with_observer, bicgstab_distributed_with_observer,
-    cg_distributed_protected_with_observer, cg_distributed_with_observer,
-    gmres_distributed_with_observer, pcg_jacobi_distributed_protected_with_observer,
-    pcg_jacobi_distributed_with_observer, DistOperator, IterObserver, RecoveryStats, SolveStats,
-    SolverError, StopCriterion, TailObserver,
+    bicg_distributed, bicgstab_distributed, gmres_distributed, pcg_distributed, DistPreconditioner,
+    IterObserver, JacobiPreconditioner, RecoveryStats, SolveOptions, SolveStats, SolverError,
+    TailObserver,
 };
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -266,6 +264,10 @@ pub fn execute_batch(
                 let mut solutions = Vec::with_capacity(job.request.rhs.len());
                 let mut stats: Vec<SolveStats> = Vec::with_capacity(job.request.rhs.len());
                 let mut recovery: Option<RecoveryStats> = None;
+                let opts = SolveOptions {
+                    recovery: config.recovery,
+                    ..SolveOptions::new(job.request.stop, job.request.max_iters)
+                };
                 for rhs in &job.request.rhs {
                     // One tail per RHS: a failing solve breaks out, so
                     // the flushed tail is the failing system's.
@@ -276,9 +278,7 @@ pub fn execute_batch(
                         &op,
                         plan.mg.as_deref(),
                         rhs,
-                        job.request.stop,
-                        job.request.max_iters,
-                        config.recovery,
+                        &opts,
                         &mut res_tail,
                     )?;
                     if let Some(rec) = rec {
@@ -465,79 +465,52 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Dispatch one right-hand side to the requested distributed solver.
-/// CG-family solves go through the checkpoint/rollback protected
-/// variants when a recovery config is set. `mg` is the plan's cached
-/// V-cycle preconditioner; MG-PCG runs over the hierarchy's own
-/// `(BLOCK)` fine operator (the level descriptors the transfers price
-/// against), not the partitioned `op` the other methods use.
-#[allow(clippy::too_many_arguments)]
+/// CG, PCG-Jacobi and MG-PCG are one [`pcg_distributed`] call, protected
+/// by checkpoint/rollback when `opts.recovery` is set; `opts.precond` is
+/// ignored and chosen by `kind`. `mg` is the plan's cached V-cycle
+/// preconditioner; MG-PCG runs over the hierarchy's own `(BLOCK)` fine
+/// operator (the level descriptors the transfers price against), not
+/// the partitioned `op` the other methods use.
 fn run_solver(
     kind: SolverKind,
     machine: &mut Machine,
     op: &RowwiseCsr,
     mg: Option<&hpf_mg::MgPreconditioner>,
     rhs: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-    recovery: Option<hpf_solvers::RecoveryConfig>,
+    opts: &SolveOptions,
     obs: &mut dyn IterObserver,
 ) -> Result<(Vec<f64>, SolveStats, Option<RecoveryStats>), SolverError> {
-    if let SolverKind::PcgMg { .. } = kind {
-        let pre = mg.expect("validated: pcg-mg plans carry a hierarchy");
-        return match recovery {
-            Some(cfg) => {
-                let (x, s, r) = hpf_mg::pcg_mg_distributed_protected_with_observer(
-                    machine, pre, rhs, stop, max_iters, cfg, obs,
-                )?;
-                Ok((x.to_global(), s, Some(r)))
-            }
-            None => {
-                let (x, s) = hpf_mg::pcg_mg_distributed_with_observer(
-                    machine, pre, rhs, stop, max_iters, obs,
-                )?;
-                Ok((x.to_global(), s, None))
-            }
-        };
-    }
-    let (x, s, rec) = match (kind, recovery) {
-        (SolverKind::Cg, Some(cfg)) => {
-            let (x, s, r) = cg_distributed_protected_with_observer(
-                machine, op, rhs, stop, max_iters, cfg, obs,
-            )?;
-            (x, s, Some(r))
+    let (stop, max_iters) = (opts.stop, opts.max_iters);
+    let (x, s, rec) = match kind {
+        SolverKind::Cg | SolverKind::PcgJacobi | SolverKind::PcgMg { .. } => {
+            let (jacobi, fine);
+            let (a, precond): (&RowwiseCsr, Option<&dyn DistPreconditioner>) = match kind {
+                SolverKind::PcgJacobi => {
+                    jacobi = JacobiPreconditioner::from_operator(op)?;
+                    (op, Some(&jacobi))
+                }
+                SolverKind::PcgMg { .. } => {
+                    let pre = mg.expect("validated: pcg-mg plans carry a hierarchy");
+                    fine = pre.hierarchy().fine_operator();
+                    (&fine, Some(pre))
+                }
+                _ => (op, None),
+            };
+            pcg_distributed(machine, a, rhs, &SolveOptions { precond, ..*opts }, obs)?
         }
-        (SolverKind::PcgJacobi, Some(cfg)) => {
-            let (x, s, r) = pcg_jacobi_distributed_protected_with_observer(
-                machine, op, rhs, stop, max_iters, cfg, obs,
-            )?;
-            (x, s, Some(r))
-        }
-        (SolverKind::Cg, None) => {
-            let (x, s) = cg_distributed_with_observer(machine, op, rhs, stop, max_iters, obs)?;
+        SolverKind::Bicg => {
+            let (x, s) = bicg_distributed(machine, op, rhs, stop, max_iters, obs)?;
             (x, s, None)
         }
-        (SolverKind::PcgJacobi, None) => {
-            let (x, s) =
-                pcg_jacobi_distributed_with_observer(machine, op, rhs, stop, max_iters, obs)?;
+        SolverKind::Bicgstab => {
+            let (x, s) = bicgstab_distributed(machine, op, rhs, stop, max_iters, obs)?;
             (x, s, None)
         }
-        (SolverKind::Bicg, _) => {
-            let (x, s) = bicg_distributed_with_observer(machine, op, rhs, stop, max_iters, obs)?;
+        SolverKind::Gmres { restart } => {
+            let (x, s) = gmres_distributed(machine, op, rhs, restart, stop, max_iters, obs)?;
             (x, s, None)
         }
-        (SolverKind::Bicgstab, _) => {
-            let (x, s) =
-                bicgstab_distributed_with_observer(machine, op, rhs, stop, max_iters, obs)?;
-            (x, s, None)
-        }
-        (SolverKind::Gmres { restart }, _) => {
-            let (x, s) =
-                gmres_distributed_with_observer(machine, op, rhs, restart, stop, max_iters, obs)?;
-            (x, s, None)
-        }
-        (SolverKind::PcgMg { .. }, _) => unreachable!("early-returned above"),
     };
-    debug_assert_eq!(op.dim(), rhs.len());
     Ok((x.to_global(), s, rec))
 }
 
@@ -548,6 +521,7 @@ mod tests {
     use crate::fingerprint::Fingerprint;
     use crate::request::SolveRequest;
     use crossbeam::channel::{unbounded, Receiver};
+    use hpf_solvers::StopCriterion;
     use hpf_sparse::gen;
     use std::collections::VecDeque;
     use std::time::Duration;

@@ -277,6 +277,30 @@ fn invalid_requests_fail_fast() {
     assert_eq!(m.accepted, 0);
 }
 
+/// GMRES with a zero restart length is refused up front, not accepted
+/// and then answered with a worker panic.
+#[test]
+fn gmres_zero_restart_is_an_invalid_request() {
+    let service = SolverService::start(ServiceConfig {
+        workers: 1,
+        np: 2,
+        ..ServiceConfig::default()
+    });
+    let a = Arc::new(gen::tridiagonal(8, 4.0, -1.0));
+    let zero = service.submit(
+        SolveRequest::new(a.clone(), vec![1.0; 8]).solver(SolverKind::Gmres { restart: 0 }),
+    );
+    match zero {
+        Err(ServiceError::InvalidRequest(why)) => assert!(why.contains("restart"), "{why}"),
+        other => panic!("expected InvalidRequest, got {other:?}"),
+    }
+    let one =
+        service.solve(SolveRequest::new(a, vec![1.0; 8]).solver(SolverKind::Gmres { restart: 1 }));
+    assert!(one.unwrap().stats[0].converged);
+    let m = service.shutdown();
+    assert_eq!((m.rejected_invalid, m.accepted, m.failed), (1, 1, 0));
+}
+
 /// Every registered partitioner solves end to end, and the response
 /// reports the one that laid out the plan. Each (structure, partitioner)
 /// pair builds its own cached plan.

@@ -25,6 +25,8 @@
 use crate::error::SolverError;
 use crate::observer::{IterObserver, IterSample, MachineMark, NullObserver};
 use crate::operator::{DistOperator, SerialOperator};
+use crate::precond::DistPreconditioner;
+use crate::recovery::{protected_pcg, RecoveryConfig, RecoveryStats};
 use crate::stopping::{ResidualMonitor, SolveStats, StopCriterion};
 use hpf_core::DistVector;
 use hpf_machine::{span, Machine};
@@ -145,9 +147,85 @@ pub fn cg_with_observer<A: SerialOperator + ?Sized>(
     Ok((x, stats))
 }
 
-/// Distributed CG (the full Figure 2 program) over any [`DistOperator`].
-/// Returns the distributed solution plus solve statistics; all
+/// How [`pcg_distributed`] runs.
+#[derive(Clone, Copy)]
+pub struct SolveOptions<'a> {
+    /// When the solve has converged.
+    pub stop: StopCriterion,
+    /// Iteration budget.
+    pub max_iters: usize,
+    /// `M⁻¹`, applied as `z = M⁻¹ r` under a `precondition` span;
+    /// `None` runs plain CG.
+    pub precond: Option<&'a dyn DistPreconditioner>,
+    /// `Some` runs the checkpoint/rollback driver of [`crate::recovery`].
+    pub recovery: Option<RecoveryConfig>,
+}
+
+impl SolveOptions<'_> {
+    /// Plain CG: no preconditioner, no recovery.
+    pub fn new(stop: StopCriterion, max_iters: usize) -> Self {
+        SolveOptions {
+            stop,
+            max_iters,
+            precond: None,
+            recovery: None,
+        }
+    }
+}
+
+/// Distributed CG and PCG (the full Figure 2 program) over any
+/// [`DistOperator`]: the one entry point of the family. All
 /// communication is charged to `machine`.
+///
+/// `opts.precond` picks CG or PCG. `opts.recovery` picks the plain loop
+/// or the checkpoint/rollback driver of [`crate::recovery`], which also
+/// returns its [`RecoveryStats`]. Machine events are span-tagged
+/// (`solve/iter=k/matvec`, `.../dot`, `.../axpy`, `.../precondition`).
+/// `obs` receives one [`IterSample`] per iteration and, when protected,
+/// every rollback and restart.
+///
+/// ```
+/// use hpf_core::{DataArrayLayout, RowwiseCsr};
+/// use hpf_machine::{CostModel, Machine, Topology};
+/// use hpf_solvers::{
+///     pcg_distributed, JacobiPreconditioner, NullObserver, SolveOptions, StopCriterion,
+/// };
+/// use hpf_sparse::gen;
+///
+/// let a = gen::poisson_2d(8, 8);
+/// let (_, b) = gen::rhs_for_known_solution(&a);
+/// let op = RowwiseCsr::block(a, 4, DataArrayLayout::RowAligned);
+/// let jacobi = JacobiPreconditioner::from_operator(&op).unwrap();
+/// let opts = SolveOptions {
+///     precond: Some(&jacobi),
+///     ..SolveOptions::new(StopCriterion::RelativeResidual(1e-10), 500)
+/// };
+/// let mut m = Machine::new(4, Topology::Hypercube, CostModel::mpp_1995());
+/// let (x, stats, recovery) = pcg_distributed(&mut m, &op, &b, &opts, &mut NullObserver).unwrap();
+/// assert!(stats.converged && recovery.is_none());
+/// assert_eq!(x.len(), 64);
+/// ```
+pub fn pcg_distributed<A: DistOperator + ?Sized>(
+    machine: &mut Machine,
+    a: &A,
+    b_global: &[f64],
+    opts: &SolveOptions,
+    obs: &mut dyn IterObserver,
+) -> Result<(DistVector, SolveStats, Option<RecoveryStats>), SolverError> {
+    match opts.recovery {
+        Some(config) => {
+            let (x, stats, rec) = protected_pcg(machine, a, b_global, opts, config, obs)?;
+            Ok((x, stats, Some(rec)))
+        }
+        None => {
+            let (x, stats) = plain_pcg(machine, a, b_global, opts, obs)?;
+            Ok((x, stats, None))
+        }
+    }
+}
+
+/// Distributed CG without an observer: a forward to [`pcg_distributed`],
+/// kept with this signature because the benchmark harness calls it.
 pub fn cg_distributed<A: DistOperator + ?Sized>(
     machine: &mut Machine,
     a: &A,
@@ -155,21 +233,139 @@ pub fn cg_distributed<A: DistOperator + ?Sized>(
     stop: StopCriterion,
     max_iters: usize,
 ) -> Result<(DistVector, SolveStats), SolverError> {
-    cg_distributed_with_observer(machine, a, b_global, stop, max_iters, &mut NullObserver)
+    let opts = SolveOptions::new(stop, max_iters);
+    pcg_distributed(machine, a, b_global, &opts, &mut NullObserver).map(|(x, s, _)| (x, s))
 }
 
-/// [`cg_distributed`] with per-iteration telemetry. Machine events are
-/// span-tagged (`solve/iter=k/matvec`, `.../dot`, `.../axpy`) and each
-/// [`IterSample`] carries the flop/word delta the iteration charged.
-pub fn cg_distributed_with_observer<A: DistOperator + ?Sized>(
+/// Distributed CG preconditioned by any [`DistPreconditioner`], without
+/// an observer: a forward to [`pcg_distributed`], kept with this
+/// signature because the benchmark harness calls it.
+pub fn pcg_preconditioned_distributed<A, M>(
     machine: &mut Machine,
     a: &A,
+    m: &M,
     b_global: &[f64],
     stop: StopCriterion,
     max_iters: usize,
+) -> Result<(DistVector, SolveStats), SolverError>
+where
+    A: DistOperator + ?Sized,
+    M: DistPreconditioner + ?Sized,
+{
+    let opts = SolveOptions {
+        precond: Some(&m),
+        ..SolveOptions::new(stop, max_iters)
+    };
+    pcg_distributed(machine, a, b_global, &opts, &mut NullObserver).map(|(x, s, _)| (x, s))
+}
+
+/// The unprotected CG/PCG loop. Plain CG and PCG differ in ways the
+/// pinned traces record, so each keeps its own branch around the shared
+/// first half of the iteration:
+///
+/// * Set-up: CG runs two dots (`b·b`, `r·r`) under `solve/setup`; PCG
+///   applies `M⁻¹` and runs three (`b·b`, `r·z`, `r·r`) with no span.
+/// * CG reports an iteration before its stop test, with a finite β.
+///   PCG tests first and reports β = NaN on the iteration that
+///   converges, skipping that iteration's preconditioner apply.
+/// * PCG's `r·z` dot and `p` update carry no `dot`/`axpy` span.
+fn plain_pcg<A: DistOperator + ?Sized>(
+    machine: &mut Machine,
+    a: &A,
+    b_global: &[f64],
+    opts: &SolveOptions,
     obs: &mut dyn IterObserver,
 ) -> Result<(DistVector, SolveStats), SolverError> {
     let _solve_span = span::enter("solve");
+    // !HPF$ ALIGN (:) WITH p(:) :: q, r, x, b
+    let (b, x) = distribute_rhs(a, b_global)?;
+    let r = b.clone();
+    let mut stats = SolveStats::new();
+    let mut monitor = ResidualMonitor::new(opts.stop);
+
+    let (b_norm, mut rho, p) = match opts.precond {
+        None => {
+            let _s = span::enter("setup");
+            let b_norm = b.dot(machine, &b).sqrt();
+            let rho = r.dot(machine, &r);
+            stats.dots = 2;
+            stats.residual_norm = rho.sqrt();
+            (b_norm, rho, b.clone())
+        }
+        Some(m) => {
+            let z = m.apply(machine, &r);
+            let b_norm = b.dot(machine, &b).sqrt();
+            let rho = r.dot(machine, &z);
+            stats.residual_norm = r.dot(machine, &r).sqrt();
+            stats.dots = 3;
+            (b_norm, rho, z)
+        }
+    };
+    let mut v = CgVectors { x, r, p };
+    if monitor.observe(stats.residual_norm, b_norm)? {
+        stats.converged = true;
+        return Ok((v.x, stats));
+    }
+
+    let mut mark = MachineMark::take(machine);
+    for k in 0..opts.max_iters {
+        let _iter_span = span::enter(format!("iter={k}"));
+        let alpha = v.advance(machine, a, rho, &mut stats, |pq| {
+            check_breakdown("p.Ap", pq)
+        })?;
+        let rr = {
+            let _s = span::enter("dot");
+            v.r.dot(machine, &v.r)
+        };
+        stats.dots += 1;
+        stats.iterations += 1;
+        stats.residual_norm = rr.sqrt();
+        let sample = mark.sample(machine, &stats, alpha, 0);
+        match opts.precond {
+            None => {
+                // The beta reported is the one the next direction
+                // update uses: rho_new / rho, with rho_new = r·r.
+                let beta = rr / rho;
+                obs.on_iteration(&IterSample { beta, ..sample });
+                if monitor.observe(stats.residual_norm, b_norm)? {
+                    stats.converged = true;
+                    return Ok((v.x, stats));
+                }
+                check_breakdown("rho", rho)?;
+                rho = rr;
+                let _s = span::enter("axpy");
+                v.p.aypx(machine, beta, &v.r); // p = beta p + r  (saypx)
+            }
+            Some(m) => {
+                if monitor.observe(stats.residual_norm, b_norm)? {
+                    obs.on_iteration(&sample);
+                    stats.converged = true;
+                    return Ok((v.x, stats));
+                }
+                let z = {
+                    let _s = span::enter("precondition");
+                    m.apply(machine, &v.r)
+                };
+                let rho_new = v.r.dot(machine, &z);
+                stats.dots += 1;
+                check_breakdown("rho", rho)?;
+                let beta = rho_new / rho;
+                obs.on_iteration(&IterSample { beta, ..sample });
+                rho = rho_new;
+                v.p.aypx(machine, beta, &z);
+            }
+        }
+        stats.axpys += 1;
+    }
+    Ok((v.x, stats))
+}
+
+/// Check `b`'s length against `a` and lay it out on `a`'s descriptor:
+/// returns `(b, x = 0)`, the set-up every distributed solver shares.
+pub(crate) fn distribute_rhs<A: DistOperator + ?Sized>(
+    a: &A,
+    b_global: &[f64],
+) -> Result<(DistVector, DistVector), SolverError> {
     let n = a.dim();
     if b_global.len() != n {
         return Err(SolverError::DimensionMismatch {
@@ -178,85 +374,78 @@ pub fn cg_distributed_with_observer<A: DistOperator + ?Sized>(
         });
     }
     let desc = a.descriptor();
-    let mut stats = SolveStats::new();
-    let mut monitor = ResidualMonitor::new(stop);
+    Ok((
+        DistVector::from_global(desc.clone(), b_global),
+        DistVector::zeros(desc),
+    ))
+}
 
-    // !HPF$ ALIGN (:) WITH p(:) :: q, r, x, b
-    let b = DistVector::from_global(desc.clone(), b_global);
-    let mut x = DistVector::zeros(desc.clone());
-    let mut r = b.clone();
-    let mut p = b.clone();
+/// The iterate, residual and search direction a CG recurrence carries.
+#[derive(Clone)]
+pub(crate) struct CgVectors {
+    pub(crate) x: DistVector,
+    pub(crate) r: DistVector,
+    pub(crate) p: DistVector,
+}
 
-    let b_norm = {
-        let _s = span::enter("setup");
-        b.dot(machine, &b).sqrt()
-    };
-    stats.dots += 1;
-    let mut rho = {
-        let _s = span::enter("setup");
-        r.dot(machine, &r)
-    };
-    stats.dots += 1;
-    stats.residual_norm = rho.sqrt();
-    if monitor.observe(stats.residual_norm, b_norm)? {
-        stats.converged = true;
-        return Ok((x, stats));
-    }
-
-    let mut mark = MachineMark::take(machine);
-    for k in 0..max_iters {
-        let _iter_span = span::enter(format!("iter={k}"));
+impl CgVectors {
+    /// The first half of every CG iteration: `q = A p` and `p·q` under
+    /// their spans; then, if `check(p·q)` passes, `alpha = rho / p·q`
+    /// and `x += alpha p`, `r -= alpha q` under one `axpy` span. Returns
+    /// `alpha`, or `check`'s error with `x` and `r` untouched.
+    pub(crate) fn advance<A: DistOperator + ?Sized, E>(
+        &mut self,
+        machine: &mut Machine,
+        a: &A,
+        rho: f64,
+        stats: &mut SolveStats,
+        check: impl FnOnce(f64) -> Result<(), E>,
+    ) -> Result<f64, E> {
         let q = {
             let _s = span::enter("matvec");
-            a.apply(machine, &p)
+            a.apply(machine, &self.p)
         };
         stats.matvecs += 1;
         let pq = {
             let _s = span::enter("dot");
-            p.dot(machine, &q)
+            self.p.dot(machine, &q)
         };
         stats.dots += 1;
-        check_breakdown("p.Ap", pq)?;
+        check(pq)?;
         let alpha = rho / pq;
         {
             let _s = span::enter("axpy");
-            x.axpy(machine, alpha, &p); // x = x + alpha p
-            r.axpy(machine, -alpha, &q); // r = r - alpha q
+            self.x.axpy(machine, alpha, &self.p); // x = x + alpha p
+            self.r.axpy(machine, -alpha, &q); // r = r - alpha q
         }
         stats.axpys += 2;
-        let rho_new = {
-            let _s = span::enter("dot");
-            r.dot(machine, &r)
-        };
-        stats.dots += 1;
-        stats.iterations += 1;
-        stats.residual_norm = rho_new.sqrt();
-        let (d_flops, d_words) = mark.delta(machine);
-        obs.on_iteration(&IterSample {
-            iteration: stats.iterations,
-            residual_norm: stats.residual_norm,
-            alpha,
-            beta: rho_new / rho,
-            flops: d_flops,
-            comm_words: d_words,
-            sim_time: machine.elapsed(),
-            predicted_time: mark.predicted(),
-            rollbacks: 0,
-        });
-        if monitor.observe(stats.residual_norm, b_norm)? {
-            stats.converged = true;
-            return Ok((x, stats));
-        }
-        check_breakdown("rho", rho)?;
-        let beta = rho_new / rho;
-        rho = rho_new;
-        {
-            let _s = span::enter("axpy");
-            p.aypx(machine, beta, &r); // p = beta p + r  (saypx)
-        }
-        stats.axpys += 1;
+        Ok(alpha)
     }
-    Ok((x, stats))
+
+    /// Overwrite all three vectors with `other`'s (a checkpoint restore).
+    pub(crate) fn copy_from(&mut self, other: &CgVectors) {
+        self.x.copy_from(&other.x);
+        self.r.copy_from(&other.r);
+        self.p.copy_from(&other.p);
+    }
+}
+
+/// The true residual `b - A x` and its norm.
+pub(crate) fn true_residual<A: DistOperator + ?Sized>(
+    machine: &mut Machine,
+    a: &A,
+    b: &DistVector,
+    x: &DistVector,
+    stats: &mut SolveStats,
+) -> (DistVector, f64) {
+    let ax = a.apply(machine, x);
+    stats.matvecs += 1;
+    let mut r = b.clone();
+    r.axpy(machine, -1.0, &ax);
+    stats.axpys += 1;
+    let norm = r.dot(machine, &r).sqrt();
+    stats.dots += 1;
+    (r, norm)
 }
 
 #[cfg(test)]
@@ -391,15 +580,8 @@ mod tests {
         let mut m = Machine::new(np, Topology::Hypercube, CostModel::mpp_1995());
         let op = RowwiseCsr::block(a, np, DataArrayLayout::RowAligned);
         let mut obs = crate::observer::RecordingObserver::new();
-        let (_, stats) = cg_distributed_with_observer(
-            &mut m,
-            &op,
-            &b,
-            StopCriterion::RelativeResidual(1e-10),
-            500,
-            &mut obs,
-        )
-        .unwrap();
+        let opts = SolveOptions::new(StopCriterion::RelativeResidual(1e-10), 500);
+        let (_, stats, _) = pcg_distributed(&mut m, &op, &b, &opts, &mut obs).unwrap();
         assert!(stats.converged);
         // Every event recorded inside the loop carries a
         // solve/iter=k/<phase> path; the setup dots carry solve/setup.

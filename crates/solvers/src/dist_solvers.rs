@@ -1,4 +1,4 @@
-//! Distributed variants of the non-symmetric solvers and Jacobi PCG.
+//! Distributed variants of the non-symmetric solvers.
 //!
 //! These run the same recurrences as their serial counterparts over
 //! [`DistVector`]s and a [`DistOperator`], so the simulated machine is
@@ -7,29 +7,17 @@
 //! storage distribution optimisations made on the basis of row access
 //! vs. column access will be negated with the use of BiCG").
 
-use crate::cg::check_breakdown;
+use crate::cg::{check_breakdown, distribute_rhs, true_residual};
 use crate::error::SolverError;
-use crate::observer::{IterObserver, IterSample, MachineMark, NullObserver};
+use crate::observer::{IterObserver, IterSample, MachineMark};
 use crate::operator::DistOperator;
-use crate::precond::{DistPreconditioner, JacobiPreconditioner};
 use crate::stopping::{ResidualMonitor, SolveStats, StopCriterion};
 use hpf_core::DistVector;
 use hpf_machine::{span, Machine};
 
-/// Distributed BiCG.
+/// Distributed BiCG. Machine events are span-tagged and `obs` receives
+/// one [`IterSample`] per iteration.
 pub fn bicg_distributed<A: DistOperator + ?Sized>(
-    machine: &mut Machine,
-    a: &A,
-    b_global: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-) -> Result<(DistVector, SolveStats), SolverError> {
-    bicg_distributed_with_observer(machine, a, b_global, stop, max_iters, &mut NullObserver)
-}
-
-/// [`bicg_distributed`] with per-iteration telemetry and span-tagged
-/// machine events.
-pub fn bicg_distributed_with_observer<A: DistOperator + ?Sized>(
     machine: &mut Machine,
     a: &A,
     b_global: &[f64],
@@ -38,18 +26,8 @@ pub fn bicg_distributed_with_observer<A: DistOperator + ?Sized>(
     obs: &mut dyn IterObserver,
 ) -> Result<(DistVector, SolveStats), SolverError> {
     let _solve_span = span::enter("solve");
-    let n = a.dim();
-    if b_global.len() != n {
-        return Err(SolverError::DimensionMismatch {
-            expected: n,
-            got: b_global.len(),
-        });
-    }
-    let desc = a.descriptor();
+    let (b, mut x) = distribute_rhs(a, b_global)?;
     let mut stats = SolveStats::new();
-
-    let b = DistVector::from_global(desc.clone(), b_global);
-    let mut x = DistVector::zeros(desc.clone());
     let mut r = b.clone();
     let mut r_hat = b.clone();
     let mut p = r.clone();
@@ -92,30 +70,16 @@ pub fn bicg_distributed_with_observer<A: DistOperator + ?Sized>(
         stats.iterations += 1;
         stats.residual_norm = r.dot(machine, &r).sqrt();
         stats.dots += 1;
-        let (d_flops, d_words) = mark.delta(machine);
-        let sim_time = machine.elapsed();
-        let predicted_time = mark.predicted();
-        let (it, rn) = (stats.iterations, stats.residual_norm);
-        let sample = move |beta: f64| IterSample {
-            iteration: it,
-            residual_norm: rn,
-            alpha,
-            beta,
-            flops: d_flops,
-            comm_words: d_words,
-            sim_time,
-            predicted_time,
-            rollbacks: 0,
-        };
+        let sample = mark.sample(machine, &stats, alpha, 0);
         if monitor.observe(stats.residual_norm, b_norm)? {
-            obs.on_iteration(&sample(f64::NAN));
+            obs.on_iteration(&sample);
             stats.converged = true;
             return Ok((x, stats));
         }
         let rho_new = r_hat.dot(machine, &r);
         stats.dots += 1;
         let beta = rho_new / rho;
-        obs.on_iteration(&sample(beta));
+        obs.on_iteration(&IterSample { beta, ..sample });
         rho = rho_new;
         p.aypx(machine, beta, &r);
         p_hat.aypx(machine, beta, &r_hat);
@@ -125,20 +89,10 @@ pub fn bicg_distributed_with_observer<A: DistOperator + ?Sized>(
 }
 
 /// Distributed BiCGSTAB (no `Aᵀ`; four inner-product merges per
-/// iteration — "a greater demand for an efficient intrinsic").
+/// iteration — "a greater demand for an efficient intrinsic"). Machine
+/// events are span-tagged and `obs` receives one [`IterSample`] per
+/// iteration.
 pub fn bicgstab_distributed<A: DistOperator + ?Sized>(
-    machine: &mut Machine,
-    a: &A,
-    b_global: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-) -> Result<(DistVector, SolveStats), SolverError> {
-    bicgstab_distributed_with_observer(machine, a, b_global, stop, max_iters, &mut NullObserver)
-}
-
-/// [`bicgstab_distributed`] with per-iteration telemetry and span-tagged
-/// machine events.
-pub fn bicgstab_distributed_with_observer<A: DistOperator + ?Sized>(
     machine: &mut Machine,
     a: &A,
     b_global: &[f64],
@@ -147,18 +101,8 @@ pub fn bicgstab_distributed_with_observer<A: DistOperator + ?Sized>(
     obs: &mut dyn IterObserver,
 ) -> Result<(DistVector, SolveStats), SolverError> {
     let _solve_span = span::enter("solve");
-    let n = a.dim();
-    if b_global.len() != n {
-        return Err(SolverError::DimensionMismatch {
-            expected: n,
-            got: b_global.len(),
-        });
-    }
-    let desc = a.descriptor();
+    let (b, mut x) = distribute_rhs(a, b_global)?;
     let mut stats = SolveStats::new();
-
-    let b = DistVector::from_global(desc.clone(), b_global);
-    let mut x = DistVector::zeros(desc.clone());
     let mut r = b.clone();
     let r_hat = b.clone();
     let mut p = r.clone();
@@ -197,18 +141,7 @@ pub fn bicgstab_distributed_with_observer<A: DistOperator + ?Sized>(
             stats.axpys += 1;
             stats.iterations += 1;
             stats.residual_norm = s_norm;
-            let (d_flops, d_words) = mark.delta(machine);
-            obs.on_iteration(&IterSample {
-                iteration: stats.iterations,
-                residual_norm: s_norm,
-                alpha,
-                beta: f64::NAN,
-                flops: d_flops,
-                comm_words: d_words,
-                sim_time: machine.elapsed(),
-                predicted_time: mark.predicted(),
-                rollbacks: 0,
-            });
+            obs.on_iteration(&mark.sample(machine, &stats, alpha, 0));
             stats.converged = true;
             return Ok((x, stats));
         }
@@ -232,198 +165,21 @@ pub fn bicgstab_distributed_with_observer<A: DistOperator + ?Sized>(
         stats.iterations += 1;
         stats.residual_norm = r.dot(machine, &r).sqrt();
         stats.dots += 1;
-        let (d_flops, d_words) = mark.delta(machine);
-        let sim_time = machine.elapsed();
-        let predicted_time = mark.predicted();
-        let (it, rn) = (stats.iterations, stats.residual_norm);
-        let sample = move |beta: f64| IterSample {
-            iteration: it,
-            residual_norm: rn,
-            alpha,
-            beta,
-            flops: d_flops,
-            comm_words: d_words,
-            sim_time,
-            predicted_time,
-            rollbacks: 0,
-        };
+        let sample = mark.sample(machine, &stats, alpha, 0);
         if monitor.observe(stats.residual_norm, b_norm)? {
-            obs.on_iteration(&sample(f64::NAN));
+            obs.on_iteration(&sample);
             stats.converged = true;
             return Ok((x, stats));
         }
         let rho_new = r_hat.dot(machine, &r);
         stats.dots += 1;
         let beta = (rho_new / rho) * (alpha / omega);
-        obs.on_iteration(&sample(beta));
+        obs.on_iteration(&IterSample { beta, ..sample });
         rho = rho_new;
         // p = r + beta (p - omega v)
         p.axpy(machine, -omega, &v);
         p.aypx(machine, beta, &r);
         stats.axpys += 2;
-    }
-    Ok((x, stats))
-}
-
-/// Distributed Jacobi-preconditioned CG. The preconditioner application
-/// `z = D⁻¹ r` is an aligned element-wise operation — zero communication,
-/// as the paper's alignment discipline guarantees.
-pub fn pcg_jacobi_distributed<A: DistOperator + ?Sized>(
-    machine: &mut Machine,
-    a: &A,
-    b_global: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-) -> Result<(DistVector, SolveStats), SolverError> {
-    pcg_jacobi_distributed_with_observer(machine, a, b_global, stop, max_iters, &mut NullObserver)
-}
-
-/// [`pcg_jacobi_distributed`] with per-iteration telemetry and
-/// span-tagged machine events.
-pub fn pcg_jacobi_distributed_with_observer<A: DistOperator + ?Sized>(
-    machine: &mut Machine,
-    a: &A,
-    b_global: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-    obs: &mut dyn IterObserver,
-) -> Result<(DistVector, SolveStats), SolverError> {
-    let m = JacobiPreconditioner::from_operator(a)?;
-    pcg_preconditioned_distributed_with_observer(machine, a, &m, b_global, stop, max_iters, obs)
-}
-
-/// Distributed CG preconditioned by any [`DistPreconditioner`] — the
-/// entry point multigrid ([`hpf-mg`]'s V-cycle) and other structured
-/// preconditioners plug into. The recurrence is the Figure 2 PCG loop;
-/// the preconditioner application runs under a `precondition` span so
-/// its machine events (smoother compute, halo exchanges, level
-/// transfers) are attributable in the trace.
-pub fn pcg_preconditioned_distributed<A, M>(
-    machine: &mut Machine,
-    a: &A,
-    m: &M,
-    b_global: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-) -> Result<(DistVector, SolveStats), SolverError>
-where
-    A: DistOperator + ?Sized,
-    M: DistPreconditioner + ?Sized,
-{
-    pcg_preconditioned_distributed_with_observer(
-        machine,
-        a,
-        m,
-        b_global,
-        stop,
-        max_iters,
-        &mut NullObserver,
-    )
-}
-
-/// [`pcg_preconditioned_distributed`] with per-iteration telemetry and
-/// span-tagged machine events.
-pub fn pcg_preconditioned_distributed_with_observer<A, M>(
-    machine: &mut Machine,
-    a: &A,
-    m: &M,
-    b_global: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-    obs: &mut dyn IterObserver,
-) -> Result<(DistVector, SolveStats), SolverError>
-where
-    A: DistOperator + ?Sized,
-    M: DistPreconditioner + ?Sized,
-{
-    let _solve_span = span::enter("solve");
-    let n = a.dim();
-    if b_global.len() != n {
-        return Err(SolverError::DimensionMismatch {
-            expected: n,
-            got: b_global.len(),
-        });
-    }
-    let desc = a.descriptor();
-    let mut stats = SolveStats::new();
-
-    let b = DistVector::from_global(desc.clone(), b_global);
-    let mut x = DistVector::zeros(desc.clone());
-    let mut r = b.clone();
-    let precondition = |machine: &mut Machine, r: &DistVector| m.apply(machine, r);
-    let mut z = precondition(machine, &r);
-    let mut p = z.clone();
-    let b_norm = b.dot(machine, &b).sqrt();
-    stats.dots += 1;
-    let mut monitor = ResidualMonitor::new(stop);
-    let mut rho = r.dot(machine, &z);
-    stats.dots += 1;
-    stats.residual_norm = r.dot(machine, &r).sqrt();
-    stats.dots += 1;
-    if monitor.observe(stats.residual_norm, b_norm)? {
-        stats.converged = true;
-        return Ok((x, stats));
-    }
-
-    let mut mark = MachineMark::take(machine);
-    for k in 0..max_iters {
-        let _iter_span = span::enter(format!("iter={k}"));
-        let q = {
-            let _s = span::enter("matvec");
-            a.apply(machine, &p)
-        };
-        stats.matvecs += 1;
-        let pq = {
-            let _s = span::enter("dot");
-            p.dot(machine, &q)
-        };
-        stats.dots += 1;
-        check_breakdown("p.Ap", pq)?;
-        let alpha = rho / pq;
-        {
-            let _s = span::enter("axpy");
-            x.axpy(machine, alpha, &p);
-            r.axpy(machine, -alpha, &q);
-        }
-        stats.axpys += 2;
-        stats.iterations += 1;
-        stats.residual_norm = {
-            let _s = span::enter("dot");
-            r.dot(machine, &r).sqrt()
-        };
-        stats.dots += 1;
-        let (d_flops, d_words) = mark.delta(machine);
-        let sim_time = machine.elapsed();
-        let predicted_time = mark.predicted();
-        let (it, rn) = (stats.iterations, stats.residual_norm);
-        let sample = move |beta: f64| IterSample {
-            iteration: it,
-            residual_norm: rn,
-            alpha,
-            beta,
-            flops: d_flops,
-            comm_words: d_words,
-            sim_time,
-            predicted_time,
-            rollbacks: 0,
-        };
-        if monitor.observe(stats.residual_norm, b_norm)? {
-            obs.on_iteration(&sample(f64::NAN));
-            stats.converged = true;
-            return Ok((x, stats));
-        }
-        z = {
-            let _s = span::enter("precondition");
-            precondition(machine, &r)
-        };
-        let rho_new = r.dot(machine, &z);
-        stats.dots += 1;
-        check_breakdown("rho", rho)?;
-        let beta = rho_new / rho;
-        obs.on_iteration(&sample(beta));
-        rho = rho_new;
-        p.aypx(machine, beta, &z);
-        stats.axpys += 1;
     }
     Ok((x, stats))
 }
@@ -435,29 +191,15 @@ where
 /// vectors, and every Arnoldi step performs `j + 1` inner products —
 /// each a `t_startup·log N_P` merge on the simulated machine, so GMRES's
 /// per-iteration communication grows with the basis where CG's is flat.
+///
+/// `obs` receives one sample per Arnoldi step, carrying the Givens
+/// residual estimate; GMRES has no single alpha/beta, so those fields
+/// are `NaN`.
+///
+/// # Panics
+///
+/// If `restart` is 0.
 pub fn gmres_distributed<A: DistOperator + ?Sized>(
-    machine: &mut Machine,
-    a: &A,
-    b_global: &[f64],
-    restart: usize,
-    stop: StopCriterion,
-    max_iters: usize,
-) -> Result<(DistVector, SolveStats), SolverError> {
-    gmres_distributed_with_observer(
-        machine,
-        a,
-        b_global,
-        restart,
-        stop,
-        max_iters,
-        &mut NullObserver,
-    )
-}
-
-/// [`gmres_distributed`] with per-iteration telemetry. One sample per
-/// Arnoldi step, carrying the Givens residual estimate; GMRES has no
-/// single alpha/beta, so those fields are `NaN`.
-pub fn gmres_distributed_with_observer<A: DistOperator + ?Sized>(
     machine: &mut Machine,
     a: &A,
     b_global: &[f64],
@@ -467,33 +209,16 @@ pub fn gmres_distributed_with_observer<A: DistOperator + ?Sized>(
     obs: &mut dyn IterObserver,
 ) -> Result<(DistVector, SolveStats), SolverError> {
     let _solve_span = span::enter("solve");
-    let n = a.dim();
-    if b_global.len() != n {
-        return Err(SolverError::DimensionMismatch {
-            expected: n,
-            got: b_global.len(),
-        });
-    }
+    let (b, mut x) = distribute_rhs(a, b_global)?;
     assert!(restart >= 1, "GMRES needs a restart length of at least 1");
-    let m = restart.min(n);
-    let desc = a.descriptor();
+    let m = restart.min(a.dim());
     let mut stats = SolveStats::new();
-
-    let b = DistVector::from_global(desc.clone(), b_global);
     let b_norm = b.dot(machine, &b).sqrt();
     stats.dots += 1;
     let mut monitor = ResidualMonitor::new(stop);
-    let mut x = DistVector::zeros(desc.clone());
 
     loop {
-        // r = b - A x.
-        let ax = a.apply(machine, &x);
-        stats.matvecs += 1;
-        let mut r = b.clone();
-        r.axpy(machine, -1.0, &ax);
-        stats.axpys += 1;
-        let beta = r.dot(machine, &r).sqrt();
-        stats.dots += 1;
+        let (mut v0, beta) = true_residual(machine, a, &b, &x, &mut stats);
         stats.residual_norm = beta;
         if monitor.observe(beta, b_norm)? {
             stats.converged = true;
@@ -504,7 +229,6 @@ pub fn gmres_distributed_with_observer<A: DistOperator + ?Sized>(
         }
 
         let mut v: Vec<DistVector> = Vec::with_capacity(m + 1);
-        let mut v0 = r.clone();
         v0.scale(machine, 1.0 / beta);
         v.push(v0);
         let mut h = vec![vec![0.0f64; m + 1]; m];
@@ -561,18 +285,7 @@ pub fn gmres_distributed_with_observer<A: DistOperator + ?Sized>(
             stats.iterations += 1;
             k_used = j + 1;
             stats.residual_norm = g[j + 1].abs();
-            let (d_flops, d_words) = mark.delta(machine);
-            obs.on_iteration(&IterSample {
-                iteration: stats.iterations,
-                residual_norm: stats.residual_norm,
-                alpha: f64::NAN,
-                beta: f64::NAN,
-                flops: d_flops,
-                comm_words: d_words,
-                sim_time: machine.elapsed(),
-                predicted_time: mark.predicted(),
-                rollbacks: 0,
-            });
+            obs.on_iteration(&mark.sample(machine, &stats, f64::NAN, 0));
             let lucky = h_next < 1e-14 * b_norm.max(1.0);
             if monitor.observe(stats.residual_norm, b_norm)? || lucky {
                 break;
@@ -605,7 +318,9 @@ pub fn gmres_distributed_with_observer<A: DistOperator + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observer::NullObserver;
     use crate::operator::{ColwiseOperator, CscVariant};
+    use crate::precond::JacobiPreconditioner;
     use hpf_core::{ColwiseCsc, DataArrayLayout, RowwiseCsr};
     use hpf_machine::{CostModel, Topology};
     use hpf_sparse::{gen, CooMatrix, CscMatrix, CsrMatrix};
@@ -648,7 +363,8 @@ mod tests {
         let np = 4;
         let mut m = machine(np);
         let op = RowwiseCsr::block(a.clone(), np, DataArrayLayout::RowAligned);
-        let (x_dist, s_dist) = bicg_distributed(&mut m, &op, &b, stop, 2000).unwrap();
+        let (x_dist, s_dist) =
+            bicg_distributed(&mut m, &op, &b, stop, 2000, &mut NullObserver).unwrap();
         assert!(s_dist.converged);
         assert_eq!(s_dist.iterations, s_serial.iterations);
         for (u, v) in x_dist.to_global().iter().zip(x_serial.iter()) {
@@ -669,14 +385,16 @@ mod tests {
 
         let mut m_row = machine(np);
         let row_op = RowwiseCsr::block(a.clone(), np, DataArrayLayout::RowAligned);
-        let (xr, sr) = bicg_distributed(&mut m_row, &row_op, &b, stop, 2000).unwrap();
+        let (xr, sr) =
+            bicg_distributed(&mut m_row, &row_op, &b, stop, 2000, &mut NullObserver).unwrap();
 
         let mut m_col = machine(np);
         let col_op = ColwiseOperator {
             inner: ColwiseCsc::block(CscMatrix::from_csr(&a), np),
             variant: CscVariant::Temp2d,
         };
-        let (xc, sc) = bicg_distributed(&mut m_col, &col_op, &b, stop, 2000).unwrap();
+        let (xc, sc) =
+            bicg_distributed(&mut m_col, &col_op, &b, stop, 2000, &mut NullObserver).unwrap();
 
         assert!(sr.converged && sc.converged);
         assert!(residual(&a, &xr.to_global(), &b) < 1e-7);
@@ -701,7 +419,8 @@ mod tests {
         let np = 4;
         let mut m = machine(np);
         let op = RowwiseCsr::block(a.clone(), np, DataArrayLayout::RowAligned);
-        let (x, stats) = bicgstab_distributed(&mut m, &op, &b, stop, 2000).unwrap();
+        let (x, stats) =
+            bicgstab_distributed(&mut m, &op, &b, stop, 2000, &mut NullObserver).unwrap();
         assert!(stats.converged);
         assert_eq!(stats.transpose_matvecs, 0);
         assert!(residual(&a, &x.to_global(), &b) < 1e-8);
@@ -731,7 +450,10 @@ mod tests {
         let op = RowwiseCsr::block(a.clone(), np, DataArrayLayout::RowAligned);
         let (_, s_plain) = crate::cg_distributed(&mut m_plain, &op, &b, stop, 100 * n).unwrap();
         let mut m_pcg = machine(np);
-        let (x, s_pcg) = pcg_jacobi_distributed(&mut m_pcg, &op, &b, stop, 100 * n).unwrap();
+        let jacobi = JacobiPreconditioner::from_operator(&op).unwrap();
+        let (x, s_pcg) =
+            crate::pcg_preconditioned_distributed(&mut m_pcg, &op, &jacobi, &b, stop, 100 * n)
+                .unwrap();
         assert!(s_pcg.converged);
         assert!(s_pcg.iterations < s_plain.iterations);
         assert!(residual(&a, &x.to_global(), &b) < 1e-7);
@@ -753,7 +475,8 @@ mod tests {
         let np = 4;
         let mut m = machine(np);
         let op = RowwiseCsr::block(a.clone(), np, DataArrayLayout::RowAligned);
-        let (x_dist, s_dist) = gmres_distributed(&mut m, &op, &b, 12, stop, 2000).unwrap();
+        let (x_dist, s_dist) =
+            gmres_distributed(&mut m, &op, &b, 12, stop, 2000, &mut NullObserver).unwrap();
         assert!(s_serial.converged && s_dist.converged);
         assert_eq!(s_serial.iterations, s_dist.iterations);
         for (u, v) in x_dist.to_global().iter().zip(x_serial.iter()) {
@@ -778,7 +501,8 @@ mod tests {
             m_cg.trace().count(hpf_machine::EventKind::AllReduce) as f64 / s_cg.iterations as f64;
 
         let mut m_gm = machine(np);
-        let (_, s_gm) = gmres_distributed(&mut m_gm, &op, &b, 30, stop, 2000).unwrap();
+        let (_, s_gm) =
+            gmres_distributed(&mut m_gm, &op, &b, 30, stop, 2000, &mut NullObserver).unwrap();
         let gm_merges_per_iter =
             m_gm.trace().count(hpf_machine::EventKind::AllReduce) as f64 / s_gm.iterations as f64;
 
@@ -802,12 +526,13 @@ mod tests {
         let mut m = machine(np);
         let op = RowwiseCsr::block(a, np, DataArrayLayout::RowAligned);
         assert!(matches!(
-            pcg_jacobi_distributed(
+            crate::pcg_jacobi_distributed_protected(
                 &mut m,
                 &op,
                 &[1.0; 4],
                 StopCriterion::RelativeResidual(1e-8),
-                10
+                10,
+                crate::RecoveryConfig::default()
             ),
             Err(SolverError::SingularMatrix { .. })
         ));

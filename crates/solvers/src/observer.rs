@@ -10,8 +10,10 @@
 //!
 //! Observers are deliberately `&mut dyn` trait objects: the solver inner
 //! loops stay monomorphised over the operator only, and passing
-//! [`NullObserver`] keeps the un-observed entry points zero-cost in
-//! practice (one virtual call per iteration on a no-op body).
+//! [`NullObserver`] where nobody watches costs one virtual call per
+//! iteration on a no-op body.
+
+use crate::stopping::SolveStats;
 
 /// Telemetry for one solver iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,8 +85,10 @@ pub trait IterObserver {
     }
 }
 
-/// The do-nothing observer used by the plain (un-observed) solver entry
-/// points.
+/// The do-nothing observer: pass it to a distributed solver when nobody
+/// watches. The serial solvers without an `obs` parameter and the
+/// forwards kept for the benchmark harness (`cg_distributed` and the
+/// like) pass it themselves.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullObserver;
 
@@ -227,7 +231,7 @@ pub(crate) struct MachineMark {
     flops: u64,
     words: u64,
     /// Trace length at the mark — new events since it are what the cost
-    /// oracle prices for [`MachineMark::predicted`].
+    /// oracle prices for [`IterSample::predicted_time`].
     events: usize,
     /// Cumulative analytically predicted machine time (see
     /// [`IterSample::predicted_time`]).
@@ -247,12 +251,21 @@ impl MachineMark {
         }
     }
 
-    /// Delta since this mark, advancing the mark to now (and pricing the
-    /// events recorded in between with the machine's own cost model).
-    pub(crate) fn delta(&mut self, machine: &hpf_machine::Machine) -> (u64, u64) {
+    /// The sample for the iteration that just finished: `stats`'
+    /// iteration count and residual norm, the flops, words and predicted
+    /// time charged since the mark (which advances to now, pricing the
+    /// events recorded in between with the machine's own cost model),
+    /// and `beta` left `NaN` for methods that have one to fill in.
+    pub(crate) fn sample(
+        &mut self,
+        machine: &hpf_machine::Machine,
+        stats: &SolveStats,
+        alpha: f64,
+        rollbacks: usize,
+    ) -> IterSample {
         let flops = machine.total_flops();
         let words = machine.total_words_sent();
-        let d = (
+        let (d_flops, d_words) = (
             flops.saturating_sub(self.flops),
             words.saturating_sub(self.words),
         );
@@ -267,12 +280,17 @@ impl MachineMark {
             );
             self.events = events.len();
         }
-        d
-    }
-
-    /// Cumulative predicted machine time up to the last `delta` call.
-    pub(crate) fn predicted(&self) -> f64 {
-        self.predicted
+        IterSample {
+            iteration: stats.iterations,
+            residual_norm: stats.residual_norm,
+            alpha,
+            beta: f64::NAN,
+            flops: d_flops,
+            comm_words: d_words,
+            sim_time: machine.elapsed(),
+            predicted_time: self.predicted,
+            rollbacks,
+        }
     }
 }
 

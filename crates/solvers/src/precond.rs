@@ -5,11 +5,11 @@
 //! runs over [`DistVector`]s and charges the simulated machine for
 //! whatever compute and communication the preconditioner's data layout
 //! induces — zero words for an aligned Jacobi scaling, halo exchanges
-//! and level transfers for a multigrid V-cycle (`hpf-mg`). The generic
-//! entry points ([`crate::pcg_preconditioned_distributed`] and the
-//! protected variants in [`crate::recovery`]) accept any implementation,
-//! which is how the multigrid crate plugs into the solver family without
-//! this crate knowing about grids.
+//! and level transfers for a multigrid V-cycle (`hpf-mg`).
+//! [`crate::pcg_distributed`] accepts any implementation through
+//! [`crate::SolveOptions::precond`], protected or not, which is how the
+//! multigrid crate plugs into the solver family without this crate
+//! knowing about grids.
 //!
 //! CG requires `M` to be symmetric positive definite; implementations
 //! must preserve that or the outer recurrence breaks down (surfacing as
@@ -27,6 +27,17 @@ pub trait DistPreconditioner {
     fn apply(&self, machine: &mut Machine, r: &DistVector) -> DistVector;
     /// Short name for telemetry and report rows.
     fn name(&self) -> &'static str;
+}
+
+/// A reference applies what it points to, so a generic `&M` can be
+/// passed on as a `&dyn DistPreconditioner`.
+impl<M: DistPreconditioner + ?Sized> DistPreconditioner for &M {
+    fn apply(&self, machine: &mut Machine, r: &DistVector) -> DistVector {
+        (**self).apply(machine, r)
+    }
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
 }
 
 /// Jacobi (inverse-diagonal) preconditioner: an aligned element-wise

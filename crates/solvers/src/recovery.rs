@@ -14,11 +14,13 @@
 //! fault schedule is keyed to a monotone operation counter, so a fault
 //! fires once and the replay runs over clean operations.
 
-use crate::cg::check_breakdown;
+use crate::cg::{
+    check_breakdown, distribute_rhs, pcg_distributed, true_residual, CgVectors, SolveOptions,
+};
 use crate::error::SolverError;
 use crate::observer::{IterObserver, IterSample, MachineMark, NullObserver};
 use crate::operator::DistOperator;
-use crate::precond::{DistPreconditioner, JacobiPreconditioner};
+use crate::precond::JacobiPreconditioner;
 use crate::stopping::{ResidualMonitor, SolveStats, StopCriterion};
 use hpf_core::DistVector;
 use hpf_machine::{span, Machine};
@@ -82,15 +84,14 @@ pub struct RecoveryStats {
 /// One saved iteration state.
 struct Checkpoint {
     k: usize,
-    x: DistVector,
-    r: DistVector,
-    p: DistVector,
+    v: CgVectors,
     rho: f64,
     res: f64,
 }
 
-/// Fault-tolerant distributed CG: [`crate::cg_distributed`] plus the
-/// checkpoint/rollback loop described in the module docs.
+/// Fault-tolerant distributed CG without an observer: a forward to
+/// [`pcg_distributed`] with `recovery: Some(config)`, kept with this
+/// signature because the benchmark harness calls it.
 pub fn cg_distributed_protected<A: DistOperator + ?Sized>(
     machine: &mut Machine,
     a: &A,
@@ -99,34 +100,17 @@ pub fn cg_distributed_protected<A: DistOperator + ?Sized>(
     max_iters: usize,
     config: RecoveryConfig,
 ) -> Result<(DistVector, SolveStats, RecoveryStats), SolverError> {
-    protected_cg_core(
-        machine,
-        a,
-        b_global,
-        stop,
-        max_iters,
-        config,
-        None,
-        &mut NullObserver,
-    )
+    let opts = SolveOptions {
+        recovery: Some(config),
+        ..SolveOptions::new(stop, max_iters)
+    };
+    let (x, s, rec) = pcg_distributed(machine, a, b_global, &opts, &mut NullObserver)?;
+    Ok((x, s, rec.unwrap_or_default()))
 }
 
-/// [`cg_distributed_protected`] with per-iteration telemetry: samples
-/// carry the running rollback count, and the observer's
-/// `on_rollback`/`on_restart` hooks fire on every recovery action.
-pub fn cg_distributed_protected_with_observer<A: DistOperator + ?Sized>(
-    machine: &mut Machine,
-    a: &A,
-    b_global: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-    config: RecoveryConfig,
-    obs: &mut dyn IterObserver,
-) -> Result<(DistVector, SolveStats, RecoveryStats), SolverError> {
-    protected_cg_core(machine, a, b_global, stop, max_iters, config, None, obs)
-}
-
-/// Fault-tolerant Jacobi-preconditioned distributed CG.
+/// Fault-tolerant Jacobi-preconditioned distributed CG without an
+/// observer: a forward to [`pcg_distributed`], kept with this signature
+/// because the benchmark harness calls it.
 pub fn pcg_jacobi_distributed_protected<A: DistOperator + ?Sized>(
     machine: &mut Machine,
     a: &A,
@@ -136,93 +120,32 @@ pub fn pcg_jacobi_distributed_protected<A: DistOperator + ?Sized>(
     config: RecoveryConfig,
 ) -> Result<(DistVector, SolveStats, RecoveryStats), SolverError> {
     let m = JacobiPreconditioner::from_operator(a)?;
-    protected_cg_core(
-        machine,
-        a,
-        b_global,
-        stop,
-        max_iters,
-        config,
-        Some(&m),
-        &mut NullObserver,
-    )
+    let opts = SolveOptions {
+        precond: Some(&m),
+        recovery: Some(config),
+        ..SolveOptions::new(stop, max_iters)
+    };
+    let (x, s, rec) = pcg_distributed(machine, a, b_global, &opts, &mut NullObserver)?;
+    Ok((x, s, rec.unwrap_or_default()))
 }
 
-/// [`pcg_jacobi_distributed_protected`] with per-iteration telemetry.
-pub fn pcg_jacobi_distributed_protected_with_observer<A: DistOperator + ?Sized>(
+/// The checkpoint/rollback CG/PCG loop [`pcg_distributed`] runs when
+/// `opts.recovery` is set. It differs from the plain loop in ways the
+/// pinned traces record: its set-up applies the preconditioner (under a
+/// `precondition` span) and runs three dots (`b·b`, `r·z`, `r·r`) with no
+/// set-up span, whether preconditioned or not; it applies `M⁻¹` and
+/// computes `r·z` and `r·r` before its divergence test; and neither those
+/// dots nor the `p` update carry a `dot`/`axpy` span.
+pub(crate) fn protected_pcg<A: DistOperator + ?Sized>(
     machine: &mut Machine,
     a: &A,
     b_global: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
+    opts: &SolveOptions,
     config: RecoveryConfig,
-    obs: &mut dyn IterObserver,
-) -> Result<(DistVector, SolveStats, RecoveryStats), SolverError> {
-    let m = JacobiPreconditioner::from_operator(a)?;
-    protected_cg_core(machine, a, b_global, stop, max_iters, config, Some(&m), obs)
-}
-
-/// Fault-tolerant distributed CG preconditioned by any
-/// [`DistPreconditioner`] — how `hpf-mg`'s V-cycle gets the
-/// checkpoint/rollback machinery.
-pub fn pcg_preconditioned_distributed_protected<A: DistOperator + ?Sized>(
-    machine: &mut Machine,
-    a: &A,
-    m: &dyn DistPreconditioner,
-    b_global: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-    config: RecoveryConfig,
-) -> Result<(DistVector, SolveStats, RecoveryStats), SolverError> {
-    protected_cg_core(
-        machine,
-        a,
-        b_global,
-        stop,
-        max_iters,
-        config,
-        Some(m),
-        &mut NullObserver,
-    )
-}
-
-/// [`pcg_preconditioned_distributed_protected`] with per-iteration
-/// telemetry.
-#[allow(clippy::too_many_arguments)]
-pub fn pcg_preconditioned_distributed_protected_with_observer<A: DistOperator + ?Sized>(
-    machine: &mut Machine,
-    a: &A,
-    m: &dyn DistPreconditioner,
-    b_global: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-    config: RecoveryConfig,
-    obs: &mut dyn IterObserver,
-) -> Result<(DistVector, SolveStats, RecoveryStats), SolverError> {
-    protected_cg_core(machine, a, b_global, stop, max_iters, config, Some(m), obs)
-}
-
-/// Shared core: plain CG when `precond` is `None`, preconditioned CG
-/// when it holds an `M⁻¹` application.
-#[allow(clippy::too_many_arguments)]
-fn protected_cg_core<A: DistOperator + ?Sized>(
-    machine: &mut Machine,
-    a: &A,
-    b_global: &[f64],
-    stop: StopCriterion,
-    max_iters: usize,
-    config: RecoveryConfig,
-    precond: Option<&dyn DistPreconditioner>,
     obs: &mut dyn IterObserver,
 ) -> Result<(DistVector, SolveStats, RecoveryStats), SolverError> {
     let _solve_span = span::enter("solve");
-    let n = a.dim();
-    if b_global.len() != n {
-        return Err(SolverError::DimensionMismatch {
-            expected: n,
-            got: b_global.len(),
-        });
-    }
+    let (b, x) = distribute_rhs(a, b_global)?;
     let desc = a.descriptor();
     let checkpoint_interval = config.checkpoint_interval.max(1);
     let residual_check_interval = config.residual_check_interval.max(1);
@@ -230,12 +153,12 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
 
     let mut stats = SolveStats::new();
     let mut rec = RecoveryStats::default();
-    let mut monitor = ResidualMonitor::new(stop);
+    let mut monitor = ResidualMonitor::new(opts.stop);
 
     // z = M^-1 r, identity when unpreconditioned (then z is just a copy
     // of r).
     let precondition = |machine: &mut Machine, r: &DistVector| -> DistVector {
-        match precond {
+        match opts.precond {
             Some(m) => {
                 let _s = span::enter("precondition");
                 m.apply(machine, r)
@@ -244,22 +167,20 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
         }
     };
 
-    let b = DistVector::from_global(desc.clone(), b_global);
-    let mut x = DistVector::zeros(desc.clone());
-    let mut r = b.clone();
+    let r = b.clone();
     let mut z = precondition(machine, &r);
-    let mut p = z.clone();
+    let mut v = CgVectors { x, p: z.clone(), r };
 
     let b_norm = b.dot(machine, &b).sqrt();
     stats.dots += 1;
-    let mut rho = r.dot(machine, &z);
+    let mut rho = v.r.dot(machine, &z);
     stats.dots += 1;
-    let mut res = r.dot(machine, &r).sqrt();
+    let mut res = v.r.dot(machine, &v.r).sqrt();
     stats.dots += 1;
     stats.residual_norm = res;
     if monitor.observe(res, b_norm)? {
         stats.converged = true;
-        return Ok((x, stats, rec));
+        return Ok((v.x, stats, rec));
     }
     check_breakdown("rho", rho)?;
 
@@ -270,9 +191,7 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
     let mut ring: VecDeque<Checkpoint> = VecDeque::new();
     ring.push_back(Checkpoint {
         k: 0,
-        x: x.clone(),
-        r: r.clone(),
-        p: p.clone(),
+        v: v.clone(),
         rho,
         res,
     });
@@ -307,9 +226,7 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
                 ring.pop_back();
             }
             let cp = ring.back().expect("ring never empties");
-            x.copy_from(&cp.x);
-            r.copy_from(&cp.r);
-            p.copy_from(&cp.p);
+            v.copy_from(&cp.v);
             rho = cp.rho;
             res = cp.res;
             k = cp.k;
@@ -325,29 +242,18 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
         }};
     }
 
-    // Discard the (possibly mis-scaled) search direction and restart
-    // CG from the true residual at the current iterate.
-    macro_rules! restart_from_true_residual {
-        () => {{
-            let _restart_span = span::enter("restart");
-            let ax = a.apply(machine, &x);
-            stats.matvecs += 1;
-            let mut r_true = b.clone();
-            r_true.axpy(machine, -1.0, &ax);
-            stats.axpys += 1;
-            let res_true = r_true.dot(machine, &r_true).sqrt();
-            stats.dots += 1;
-            if !res_true.is_finite() {
-                rollback!("non-finite");
-            }
-            obs.on_restart(k);
+    // Swap in the true residual `r_true` (norm `res_true`) and restart
+    // the search direction from it.
+    macro_rules! replace_residual {
+        ($r_true:expr, $res_true:expr) => {{
             rec.residual_replacements += 1;
-            r = r_true;
-            z = precondition(machine, &r);
-            rho = r.dot(machine, &z);
+            obs.on_restart(k);
+            v.r = $r_true;
+            z = precondition(machine, &v.r);
+            rho = v.r.dot(machine, &z);
             stats.dots += 1;
-            p = z.clone();
-            res = res_true;
+            v.p = z.clone();
+            res = $res_true;
             stats.residual_norm = res;
             since_improve = 0;
             monitor.reset_window();
@@ -363,49 +269,60 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
         }};
     }
 
+    // A detected fault the checkpoints cannot fix: discard the (possibly
+    // mis-scaled) search direction and restart CG from the true residual
+    // at the current iterate, unless the recovery budget is spent.
+    macro_rules! restart_from_true_residual {
+        () => {{
+            rec.faults_detected += 1;
+            if rec.rollbacks + rec.residual_replacements >= config.max_rollbacks {
+                return Err(SolverError::RecoveryExhausted {
+                    rollbacks: rec.rollbacks,
+                    residual_norm: res,
+                });
+            }
+            let _restart_span = span::enter("restart");
+            let (r_true, res_true) = true_residual(machine, a, &b, &v.x, &mut stats);
+            if !res_true.is_finite() {
+                rollback!("non-finite");
+            }
+            replace_residual!(r_true, res_true);
+        }};
+    }
+
     let mut mark = MachineMark::take(machine);
-    while k < max_iters {
+    while k < opts.max_iters {
         let _iter_span = span::enter(format!("iter={k}"));
-        let q = {
-            let _s = span::enter("matvec");
-            a.apply(machine, &p)
-        };
-        stats.matvecs += 1;
-        let pq = {
-            let _s = span::enter("dot");
-            p.dot(machine, &q)
-        };
-        stats.dots += 1;
         // SPD input guarantees p·Ap > 0; non-finite or non-positive
         // means a corrupted reduction (or a genuinely indefinite input,
         // which exhausts the rollback budget and surfaces as a typed
         // error).
-        if !pq.is_finite() || pq <= 0.0 {
+        let healthy = |pq: f64| {
+            if pq.is_finite() && pq > 0.0 {
+                Ok(())
+            } else {
+                Err(())
+            }
+        };
+        let Ok(alpha) = v.advance(machine, a, rho, &mut stats, healthy) else {
             rollback!("non-finite");
-        }
-        let alpha = rho / pq;
-        {
-            let _s = span::enter("axpy");
-            x.axpy(machine, alpha, &p);
-            r.axpy(machine, -alpha, &q);
-        }
-        stats.axpys += 2;
+        };
         // Unpreconditioned CG has z = r, so one reduction serves both
         // rho and the residual norm (keeps the faults-off overhead to
         // checkpointing alone).
-        let (rho_new, res_new) = match precond {
+        let (rho_new, res_new) = match opts.precond {
             Some(_) => {
-                z = precondition(machine, &r);
-                let rho_new = r.dot(machine, &z);
+                z = precondition(machine, &v.r);
+                let rho_new = v.r.dot(machine, &z);
                 stats.dots += 1;
-                let res_new = r.dot(machine, &r).sqrt();
+                let res_new = v.r.dot(machine, &v.r).sqrt();
                 stats.dots += 1;
                 (rho_new, res_new)
             }
             None => {
-                let rho_new = r.dot(machine, &r);
+                let rho_new = v.r.dot(machine, &v.r);
                 stats.dots += 1;
-                z = r.clone();
+                z = v.r.clone();
                 (rho_new, rho_new.abs().sqrt())
             }
         };
@@ -420,17 +337,9 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
         stats.iterations = k;
         res = res_new;
         stats.residual_norm = res;
-        let (d_flops, d_words) = mark.delta(machine);
         obs.on_iteration(&IterSample {
-            iteration: k,
-            residual_norm: res,
-            alpha,
             beta: rho_new / rho,
-            flops: d_flops,
-            comm_words: d_words,
-            sim_time: machine.elapsed(),
-            predicted_time: mark.predicted(),
-            rollbacks: rec.rollbacks,
+            ..mark.sample(machine, &stats, alpha, rec.rollbacks)
         });
 
         // Progress watchdog: a silently mis-scaled scalar (e.g. a bit
@@ -445,52 +354,22 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
             since_improve += 1;
         }
         if since_improve >= stagnation_window {
-            rec.faults_detected += 1;
-            if rec.rollbacks + rec.residual_replacements >= config.max_rollbacks {
-                return Err(SolverError::RecoveryExhausted {
-                    rollbacks: rec.rollbacks,
-                    residual_norm: res,
-                });
-            }
             restart_from_true_residual!();
         }
 
         // Residual replacement: periodically recompute the true
         // residual b - A x. Large drift means the recurrence was
         // silently corrupted; swap in the true residual and restart the
-        // search direction.
+        // search direction (skipping the beta update).
         if k.is_multiple_of(residual_check_interval) {
             let _check_span = span::enter("residual-check");
-            let ax = a.apply(machine, &x);
-            stats.matvecs += 1;
-            let mut r_true = b.clone();
-            r_true.axpy(machine, -1.0, &ax);
-            stats.axpys += 1;
-            let res_true = r_true.dot(machine, &r_true).sqrt();
-            stats.dots += 1;
+            let (r_true, res_true) = true_residual(machine, a, &b, &v.x, &mut stats);
             if !res_true.is_finite() {
                 rollback!("non-finite");
             }
             if (res_true - res).abs() > config.drift_tolerance * b_norm.max(f64::MIN_POSITIVE) {
                 rec.faults_detected += 1;
-                rec.residual_replacements += 1;
-                obs.on_restart(k);
-                r = r_true;
-                z = precondition(machine, &r);
-                rho = r.dot(machine, &z);
-                stats.dots += 1;
-                p = z.clone();
-                res = res_true;
-                stats.residual_norm = res;
-                since_improve = 0;
-                monitor.reset_window();
-                if !rho.is_finite() || rho < 0.0 {
-                    rollback!("non-finite");
-                }
-                check_breakdown("rho", rho)?;
-                // Convergence goes through the verified path only.
-                monitor.observe(res, b_norm)?;
-                continue; // p was restarted; skip the beta update
+                replace_residual!(r_true, res_true);
             }
         }
 
@@ -502,21 +381,15 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
             // can only drain once.
             let mut verify = || {
                 let _s = span::enter("verify");
-                let ax = a.apply(machine, &x);
-                stats.matvecs += 1;
-                let mut r_true = b.clone();
-                r_true.axpy(machine, -1.0, &ax);
-                stats.axpys += 1;
-                stats.dots += 1;
-                r_true.dot(machine, &r_true).sqrt()
+                true_residual(machine, a, &b, &v.x, &mut stats).1
             };
             let (v1, v2) = (verify(), verify());
             let res_true = v1.max(v2);
             let agree = (v1 - v2).abs() <= 1e-12 * b_norm.max(f64::MIN_POSITIVE);
-            if res_true.is_finite() && agree && stop.satisfied(res_true, b_norm) {
+            if res_true.is_finite() && agree && opts.stop.satisfied(res_true, b_norm) {
                 stats.converged = true;
                 stats.residual_norm = res_true;
-                return Ok((x, stats, rec));
+                return Ok((v.x, stats, rec));
             }
             if !res_true.is_finite() {
                 rollback!("non-finite");
@@ -525,27 +398,18 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
             // Checkpoints may have been saved after the corruption
             // landed (replaying them repeats the false claim), so repair
             // the recurrence in place instead of rolling back.
-            rec.faults_detected += 1;
-            if rec.rollbacks + rec.residual_replacements >= config.max_rollbacks {
-                return Err(SolverError::RecoveryExhausted {
-                    rollbacks: rec.rollbacks,
-                    residual_norm: res,
-                });
-            }
             restart_from_true_residual!();
         }
         check_breakdown("rho", rho)?;
         let beta = rho_new / rho;
         rho = rho_new;
-        p.aypx(machine, beta, &z);
+        v.p.aypx(machine, beta, &z);
         stats.axpys += 1;
 
         if k.is_multiple_of(checkpoint_interval) {
             ring.push_back(Checkpoint {
                 k,
-                x: x.clone(),
-                r: r.clone(),
-                p: p.clone(),
+                v: v.clone(),
                 rho,
                 res,
             });
@@ -560,13 +424,13 @@ fn protected_cg_core<A: DistOperator + ?Sized>(
             rollbacks_since_checkpoint = 0;
         }
     }
-    Ok((x, stats, rec))
+    Ok((v.x, stats, rec))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cg::cg_distributed;
+    use crate::cg::{cg_distributed, SolveOptions};
     use hpf_core::{DataArrayLayout, RowwiseCsr};
     use hpf_machine::{CostModel, FaultPlan, Topology};
     use hpf_sparse::gen;
@@ -689,16 +553,12 @@ mod tests {
         let mut m = machine(np);
         m.set_fault_plan(FaultPlan::new().with_crash(30, 2));
         let mut obs = crate::observer::RecordingObserver::new();
-        let (_, s, rec) = cg_distributed_protected_with_observer(
-            &mut m,
-            &op,
-            &b,
-            stop,
-            2000,
-            RecoveryConfig::default(),
-            &mut obs,
-        )
-        .unwrap();
+        let opts = SolveOptions {
+            recovery: Some(RecoveryConfig::default()),
+            ..SolveOptions::new(stop, 2000)
+        };
+        let (_, s, rec) = pcg_distributed(&mut m, &op, &b, &opts, &mut obs).unwrap();
+        let rec = rec.unwrap();
         assert!(s.converged);
         assert!(rec.rollbacks >= 1);
         assert_eq!(obs.rollbacks.len(), rec.rollbacks);

@@ -18,10 +18,8 @@ use hpf_core::{DataArrayLayout, DistVector, RowwiseCsr};
 use hpf_dist::ArrayDescriptor;
 use hpf_machine::{CostModel, FaultPlan, Machine, Topology};
 use hpf_solvers::{
-    bicgstab_distributed_with_observer, cg_distributed, cg_distributed_protected,
-    cg_distributed_protected_with_observer, cg_distributed_with_observer,
-    gmres_distributed_with_observer, pcg_jacobi_distributed_protected_with_observer,
-    pcg_jacobi_distributed_with_observer, RecoveryConfig, StopCriterion,
+    bicgstab_distributed, cg_distributed, cg_distributed_protected, gmres_distributed,
+    pcg_distributed, JacobiPreconditioner, RecoveryConfig, SolveOptions, StopCriterion,
 };
 use hpf_sparse::{gen, CooMatrix, CsrMatrix};
 
@@ -127,8 +125,8 @@ fn plain_observed(desc: fn(usize, usize) -> ArrayDescriptor) -> u64 {
     let (op, b) = system(desc);
     let mut m = traced_machine();
     let mut obs = DigestObserver::default();
-    let stop = StopCriterion::RelativeResidual(1e-8);
-    let (x, stats) = cg_distributed_with_observer(&mut m, &op, &b, stop, 500, &mut obs).unwrap();
+    let opts = SolveOptions::new(StopCriterion::RelativeResidual(1e-8), 500);
+    let (x, stats, _) = pcg_distributed(&mut m, &op, &b, &opts, &mut obs).unwrap();
     assert_eq!(obs.iterations, stats.iterations);
     assert_eq!(digest(&m, &x), plain_solve(desc));
     obs.hash
@@ -141,17 +139,11 @@ fn protected_observed(desc: fn(usize, usize) -> ArrayDescriptor) -> u64 {
     let mut m = traced_machine();
     m.set_fault_plan(FaultPlan::new().with_bit_flip(FLIP_OP, 1, FLIP_BIT, FLIP_TARGET));
     let mut obs = DigestObserver::default();
-    let stop = StopCriterion::RelativeResidual(1e-8);
-    let (x, _, _) = cg_distributed_protected_with_observer(
-        &mut m,
-        &op,
-        &b,
-        stop,
-        500,
-        RecoveryConfig::default(),
-        &mut obs,
-    )
-    .unwrap();
+    let opts = SolveOptions {
+        recovery: Some(RecoveryConfig::default()),
+        ..SolveOptions::new(StopCriterion::RelativeResidual(1e-8), 500)
+    };
+    let (x, _, _) = pcg_distributed(&mut m, &op, &b, &opts, &mut obs).unwrap();
     assert_eq!(digest(&m, &x), protected_solve_with_flip(desc));
     obs.hash
 }
@@ -216,9 +208,12 @@ fn traced_pcg_jacobi_is_pinned() {
     let (op, b) = scaled_system();
     let mut m = traced_machine();
     let mut obs = DigestObserver::default();
-    let stop = StopCriterion::RelativeResidual(1e-8);
-    let (x, stats) =
-        pcg_jacobi_distributed_with_observer(&mut m, &op, &b, stop, 500, &mut obs).unwrap();
+    let jacobi = JacobiPreconditioner::from_operator(&op).unwrap();
+    let opts = SolveOptions {
+        precond: Some(&jacobi),
+        ..SolveOptions::new(StopCriterion::RelativeResidual(1e-8), 500)
+    };
+    let (x, stats, _) = pcg_distributed(&mut m, &op, &b, &opts, &mut obs).unwrap();
     assert!(stats.converged);
     assert_eq!(observed_digest(&m, &x, &obs), 0x80ee_f5bf_6b0f_6668);
 }
@@ -229,17 +224,14 @@ fn protected_pcg_jacobi_with_bit_flip_is_pinned() {
     let mut m = traced_machine();
     m.set_fault_plan(FaultPlan::new().with_bit_flip(PCG_FLIP_OP, 1, PCG_FLIP_BIT, FLIP_TARGET));
     let mut obs = DigestObserver::default();
-    let stop = StopCriterion::RelativeResidual(1e-8);
-    let (x, stats, rec) = pcg_jacobi_distributed_protected_with_observer(
-        &mut m,
-        &op,
-        &b,
-        stop,
-        500,
-        RecoveryConfig::default(),
-        &mut obs,
-    )
-    .unwrap();
+    let jacobi = JacobiPreconditioner::from_operator(&op).unwrap();
+    let opts = SolveOptions {
+        precond: Some(&jacobi),
+        recovery: Some(RecoveryConfig::default()),
+        ..SolveOptions::new(StopCriterion::RelativeResidual(1e-8), 500)
+    };
+    let (x, stats, rec) = pcg_distributed(&mut m, &op, &b, &opts, &mut obs).unwrap();
+    let rec = rec.unwrap();
     assert!(stats.converged);
     assert_eq!(m.faults_injected(), 1);
     assert_eq!((rec.rollbacks, obs.restarts), (0, 1));
@@ -275,8 +267,7 @@ fn traced_bicgstab_is_pinned() {
     let mut m = traced_machine();
     let mut obs = DigestObserver::default();
     let stop = StopCriterion::RelativeResidual(1e-8);
-    let (x, stats) =
-        bicgstab_distributed_with_observer(&mut m, &op, &b, stop, 500, &mut obs).unwrap();
+    let (x, stats) = bicgstab_distributed(&mut m, &op, &b, stop, 500, &mut obs).unwrap();
     assert!(stats.converged);
     assert_eq!(observed_digest(&m, &x, &obs), 0x862d_a86c_a4ce_847f);
 }
@@ -287,8 +278,7 @@ fn traced_gmres_is_pinned() {
     let mut m = traced_machine();
     let mut obs = DigestObserver::default();
     let stop = StopCriterion::RelativeResidual(1e-8);
-    let (x, stats) =
-        gmres_distributed_with_observer(&mut m, &op, &b, 8, stop, 500, &mut obs).unwrap();
+    let (x, stats) = gmres_distributed(&mut m, &op, &b, 8, stop, 500, &mut obs).unwrap();
     assert!(stats.converged);
     assert_eq!(observed_digest(&m, &x, &obs), 0x72e4_67bf_7e64_8f44);
 }

@@ -23,7 +23,6 @@
 
 use hpf::machine::{EventKind, FaultPlan, FaultRates};
 use hpf::prelude::*;
-use hpf::solvers::{cg_distributed_protected_with_observer, RecoveryConfig};
 use hpf::sparse::gen;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -70,9 +69,13 @@ fn main() {
         ..RecoveryConfig::default()
     };
     let mut log = ConvergenceLog::new();
-    let (x, stats, rec) =
-        cg_distributed_protected_with_observer(&mut m, &op, &b, stop, 50 * n, config, &mut log)
-            .expect("protected CG must ride out the plan");
+    let opts = SolveOptions {
+        recovery: Some(config),
+        ..SolveOptions::new(stop, 50 * n)
+    };
+    let (x, stats, rec) = pcg_distributed(&mut m, &op, &b, &opts, &mut log)
+        .expect("protected CG must ride out the plan");
+    let rec = rec.expect("recovery was requested");
     assert!(stats.converged, "protected CG must converge");
     assert!(
         log.samples.len() >= stats.iterations,

@@ -54,9 +54,9 @@ pub mod prelude {
     pub use hpf_service::{ServiceConfig, SolveRequest, SolverKind, SolverService};
     pub use hpf_solvers::{
         bicg, bicg_distributed, bicgstab, bicgstab_distributed, cg, cg_distributed,
-        cg_distributed_protected, cgs, gmres, pcg, pcg_jacobi_distributed,
-        pcg_jacobi_distributed_protected, JacobiPrec, RecoveryConfig, RecoveryStats, SolveStats,
-        SolverError, StopCriterion,
+        cg_distributed_protected, cgs, gmres, pcg, pcg_distributed,
+        pcg_jacobi_distributed_protected, JacobiPrec, JacobiPreconditioner, NullObserver,
+        RecoveryConfig, RecoveryStats, SolveOptions, SolveStats, SolverError, StopCriterion,
     };
     pub use hpf_sparse::{CooMatrix, CscMatrix, CsrMatrix, DenseMatrix};
 }
