@@ -10,16 +10,18 @@
 //! trilinear interpolation `P`, so restriction `R = Pᵀ` (full weighting
 //! scaled by `2^d`) makes every level exactly symmetric — the property
 //! the outer CG needs from its preconditioner. The coarsest operator is
-//! factored once by dense Cholesky at build time.
+//! factored once at build time by envelope (skyline) Cholesky, which
+//! stores each factor row only from its first nonzero column; the
+//! simulated clock still charges the dense `2·n²` coarse solve.
 //!
 //! Grid dims of the form `2^k − 1` per axis coarsen cleanly (every
 //! coarse node coincides with a fine node); other sizes work but leave
 //! the last fine plane interpolated one-sidedly.
 
+use crate::smoother::BlockSymgs;
 use hpf_core::{DataArrayLayout, RowwiseCsr};
 use hpf_dist::ArrayDescriptor;
-use hpf_sparse::{CooMatrix, CsrMatrix};
-use std::collections::BTreeMap;
+use hpf_sparse::CsrMatrix;
 use std::fmt;
 
 /// Interior-node grid extents; `nz == 1` means a 2-D (5-point) problem,
@@ -166,71 +168,162 @@ pub(crate) struct Level {
     pub desc: ArrayDescriptor,
     /// Boundary-exchange traffic for one matvec at this level.
     pub halo: Vec<Vec<usize>>,
+    /// Flops charged per processor for one SymGS sweep pair: `4` per
+    /// in-block entry plus `4` per row, the cost the §4 model prices
+    /// whatever kernel the host runs.
     pub smooth_flops: Vec<usize>,
     pub residual_flops: Vec<usize>,
+    /// The operator's rows pre-split for block SymGS.
+    pub smoother: BlockSymgs,
     /// Transfer towards the next-coarser level; `None` on the coarsest.
     pub down: Option<Transfer>,
 }
 
-/// Dense Cholesky factor of the coarsest operator, solved serially at
-/// the V-cycle's bottom.
-pub(crate) struct DenseCholesky {
-    n: usize,
-    l: Vec<f64>, // row-major lower factor
+/// Envelope (skyline) Cholesky factor `A = L Lᵀ` of the coarsest
+/// operator, solved serially at the V-cycle's bottom.
+///
+/// Row `i` of `L` stores columns `first[i]..=i`, where `first[i]` is
+/// the first stored column of row `i` of `A` at or left of the
+/// diagonal: no fill can land left of it, so the dense factor holds an
+/// exact `+0.0` there. A transposed copy (column `i` of `L`, rows
+/// `i + 1..=last[i]`) lets the backward sweep read ascending `k`
+/// contiguously. Every term the envelope skips is an exact `±0`
+/// product: in the factor and the forward sweep those come before the
+/// first in-envelope term, in the backward sweep after the last. For
+/// finite data without negative zeros (Galerkin operators store no
+/// zeros; restricted residuals accumulate from `+0.0`) the factor and
+/// every solve are therefore bit-identical to the dense factor and its
+/// two full triangular sweeps, which is what the simulated clock still
+/// charges (see [`EnvelopeCholesky::solve_flops`]).
+pub(crate) struct EnvelopeCholesky {
+    /// `first[i]`: leftmost stored column of row `i` of `L`.
+    first: Vec<usize>,
+    /// Row `i` of `L` is `l[row_start[i]..row_start[i + 1]]`, diagonal
+    /// last.
+    row_start: Vec<usize>,
+    l: Vec<f64>,
+    /// Column `i` of `L` below the diagonal is
+    /// `lt[col_start[i]..col_start[i + 1]]`, rows `i + 1` upwards.
+    col_start: Vec<usize>,
+    lt: Vec<f64>,
 }
 
-impl DenseCholesky {
-    fn factor(a: &CsrMatrix, level: usize) -> Result<Self, MgError> {
+impl EnvelopeCholesky {
+    pub(crate) fn factor(a: &CsrMatrix, level: usize) -> Result<Self, MgError> {
         let n = a.n_rows();
-        let mut m = vec![0.0f64; n * n];
+        let first: Vec<usize> = (0..n)
+            .map(|i| {
+                a.row(i)
+                    .map(|(j, _)| j)
+                    .filter(|&j| j <= i)
+                    .min()
+                    .unwrap_or(i)
+            })
+            .collect();
+        let mut row_start = Vec::with_capacity(n + 1);
+        row_start.push(0);
         for i in 0..n {
-            for (j, v) in a.row(i) {
-                m[i * n + j] = v;
+            row_start.push(row_start[i] + i + 1 - first[i]);
+        }
+        // Load the lower triangle, then factor in place: entry (i, j)
+        // is read as A's before it is overwritten by L's.
+        let mut l = vec![0.0f64; row_start[n]];
+        for i in 0..n {
+            for (j, v) in a.row(i).filter(|&(j, _)| j <= i) {
+                l[row_start[i] + j - first[i]] = v;
             }
         }
-        let mut l = vec![0.0f64; n * n];
         for i in 0..n {
-            for j in 0..=i {
-                let mut s = m[i * n + j];
-                for k in 0..j {
-                    s -= l[i * n + k] * l[j * n + k];
+            let (fi, ri) = (first[i], row_start[i]);
+            for j in fi..=i {
+                let (fj, rj) = (first[j], row_start[j]);
+                let k0 = fi.max(fj);
+                let mut s = l[ri + j - fi];
+                for (lik, ljk) in l[ri + k0 - fi..ri + j - fi]
+                    .iter()
+                    .zip(&l[rj + k0 - fj..rj + j - fj])
+                {
+                    s -= lik * ljk;
                 }
                 if i == j {
                     if s <= 0.0 {
                         return Err(MgError::NotSpd { level, pivot: i });
                     }
-                    l[i * n + i] = s.sqrt();
+                    l[ri + i - fi] = s.sqrt();
                 } else {
-                    l[i * n + j] = s / l[j * n + j];
+                    l[ri + j - fi] = s / l[rj + j - fj];
                 }
             }
         }
-        Ok(DenseCholesky { n, l })
+        // Column envelope: column j reaches down to the last row whose
+        // envelope starts at or left of j.
+        let mut last: Vec<usize> = (0..n).collect();
+        for k in 0..n {
+            for lj in &mut last[first[k]..k] {
+                *lj = k;
+            }
+        }
+        let mut col_start = Vec::with_capacity(n + 1);
+        col_start.push(0);
+        for j in 0..n {
+            col_start.push(col_start[j] + last[j] - j);
+        }
+        let mut lt = vec![0.0f64; col_start[n]];
+        for k in 0..n {
+            for j in first[k]..k {
+                lt[col_start[j] + k - j - 1] = l[row_start[k] + j - first[k]];
+            }
+        }
+        Ok(EnvelopeCholesky {
+            first,
+            row_start,
+            l,
+            col_start,
+            lt,
+        })
+    }
+
+    fn n(&self) -> usize {
+        self.first.len()
+    }
+
+    fn diag(&self, i: usize) -> f64 {
+        self.l[self.row_start[i + 1] - 1]
     }
 
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let n = self.n;
+        let n = self.n();
         let mut y = vec![0.0f64; n];
         for i in 0..n {
+            let fi = self.first[i];
             let mut s = b[i];
-            for k in 0..i {
-                s -= self.l[i * n + k] * y[k];
+            for (lik, yk) in self.l[self.row_start[i]..self.row_start[i + 1] - 1]
+                .iter()
+                .zip(&y[fi..i])
+            {
+                s -= lik * yk;
             }
-            y[i] = s / self.l[i * n + i];
+            y[i] = s / self.diag(i);
         }
         for i in (0..n).rev() {
             let mut s = y[i];
-            for k in (i + 1)..n {
-                s -= self.l[k * n + i] * y[k];
+            for (lki, yk) in self.lt[self.col_start[i]..self.col_start[i + 1]]
+                .iter()
+                .zip(&y[i + 1..])
+            {
+                s -= lki * yk;
             }
-            y[i] = s / self.l[i * n + i];
+            y[i] = s / self.diag(i);
         }
         y
     }
 
-    /// Flops of one solve (two dense triangular sweeps).
+    /// Flops the simulated clock charges for one solve: `2·n²`, two
+    /// dense triangular sweeps. The §4 cost model prices the paper's
+    /// dense coarse solve; the host runs the envelope sweeps instead,
+    /// which give the same bits.
     pub fn solve_flops(&self) -> usize {
-        2 * self.n * self.n
+        2 * self.n() * self.n()
     }
 }
 
@@ -238,7 +331,7 @@ impl DenseCholesky {
 /// communication shapes, and the factored coarsest solve.
 pub struct MgHierarchy {
     pub(crate) levels: Vec<Level>,
-    pub(crate) coarse: DenseCholesky,
+    pub(crate) coarse: EnvelopeCholesky,
     np: usize,
 }
 
@@ -263,27 +356,28 @@ impl MgHierarchy {
             mats.push(a_c);
             all_dims.push(c);
         }
-        let coarse = DenseCholesky::factor(&mats[levels - 1], levels - 1)?;
+        let coarse = EnvelopeCholesky::factor(&mats[levels - 1], levels - 1)?;
 
+        let descs: Vec<ArrayDescriptor> = mats
+            .iter()
+            .map(|a| ArrayDescriptor::block(a.n_rows(), np))
+            .collect();
+        let mut interps = interps.into_iter();
         let mut built: Vec<Level> = Vec::with_capacity(levels);
-        for l in 0..levels {
-            let a = mats[l].clone();
-            let desc = ArrayDescriptor::block(a.n_rows(), np);
-            let down = if l + 1 < levels {
-                let cdesc = ArrayDescriptor::block(mats[l + 1].n_rows(), np);
-                Some(transfer(&interps[l], &desc, &cdesc))
-            } else {
-                None
-            };
+        for (l, (a, dims)) in mats.into_iter().zip(all_dims).enumerate() {
+            let desc = descs[l].clone();
+            let down = interps.next().map(|p| transfer(p, &desc, &descs[l + 1]));
             let halo = halo_traffic(&a, &desc);
             let (smooth_flops, residual_flops) = level_flops(&a, &desc);
+            let smoother = BlockSymgs::new(&a, &desc);
             built.push(Level {
-                dims: all_dims[l],
+                dims,
                 a,
                 desc,
                 halo,
                 smooth_flops,
                 residual_flops,
+                smoother,
                 down,
             });
         }
@@ -353,64 +447,108 @@ fn weights_1d(i: usize, nf: usize, nc: usize) -> Vec<(usize, f64)> {
 }
 
 /// Bilinear (2-D) / trilinear (3-D) interpolation `P: coarse → fine` as
-/// the tensor product of the 1-D weights.
+/// the tensor product of the 1-D weights. Rows come out in fine-index
+/// order and each row's coarse columns ascending, so the CSR arrays are
+/// written directly.
 fn interpolation(fine: GridDims, coarse: GridDims) -> CsrMatrix {
-    let mut coo = CooMatrix::new(fine.n(), coarse.n());
+    let mut row_ptr = Vec::with_capacity(fine.n() + 1);
+    row_ptr.push(0);
+    let (mut cols, mut vals) = (Vec::new(), Vec::new());
     for i in 0..fine.nx {
         let wx = weights_1d(i, fine.nx, coarse.nx);
         for j in 0..fine.ny {
             let wy = weights_1d(j, fine.ny, coarse.ny);
             for k in 0..fine.nz {
                 let wz = weights_1d(k, fine.nz, coarse.nz);
-                let row = fine.index(i, j, k);
                 for &(ix, vx) in &wx {
                     for &(jy, vy) in &wy {
                         for &(kz, vz) in &wz {
-                            coo.push(row, coarse.index(ix, jy, kz), vx * vy * vz)
-                                .expect("indices in range by construction");
+                            cols.push(coarse.index(ix, jy, kz));
+                            vals.push(vx * vy * vz);
                         }
                     }
                 }
+                row_ptr.push(cols.len());
             }
         }
     }
-    CsrMatrix::from_coo(&coo)
+    CsrMatrix::from_raw(fine.n(), coarse.n(), row_ptr, cols, vals)
+        .expect("indices in range by construction")
 }
 
-/// Galerkin triple product `Pᵀ A P` (exact, deterministic: BTreeMap
-/// accumulators keep summation order fixed).
+/// Row-by-row sparse accumulator: a dense value row, a marker array
+/// and the list of touched columns, sorted on flush.
+struct SparseAccumulator {
+    vals: Vec<f64>,
+    seen: Vec<bool>,
+    touched: Vec<usize>,
+}
+
+impl SparseAccumulator {
+    fn new(n: usize) -> Self {
+        SparseAccumulator {
+            vals: vec![0.0; n],
+            seen: vec![false; n],
+            touched: Vec::new(),
+        }
+    }
+
+    fn add(&mut self, j: usize, v: f64) {
+        if !self.seen[j] {
+            self.seen[j] = true;
+            self.touched.push(j);
+        }
+        self.vals[j] += v;
+    }
+
+    /// Append the accumulated row in column order (dropping exact zeros
+    /// unless `keep_zeros`) and reset for the next row.
+    fn flush(&mut self, keep_zeros: bool, cols: &mut Vec<usize>, vals: &mut Vec<f64>) {
+        self.touched.sort_unstable();
+        for &j in &self.touched {
+            let v = std::mem::take(&mut self.vals[j]);
+            self.seen[j] = false;
+            if keep_zeros || v != 0.0 {
+                cols.push(j);
+                vals.push(v);
+            }
+        }
+        self.touched.clear();
+    }
+}
+
+/// Galerkin triple product `Pᵀ A P`, exact and deterministic. `B = A P`
+/// is formed row by row, then `C = Pᵀ B` row by row through the rows of
+/// `Pᵀ`, so every entry `C[I, J]` sums its terms over the fine rows `i`
+/// in ascending order, each `B[i, J]` in the storage order of `A`'s row
+/// `i` — the same order as a column-by-column scatter of `Pᵀ B`.
+/// Entries that cancel to exactly zero are not stored.
 fn galerkin(a: &CsrMatrix, p: &CsrMatrix) -> CsrMatrix {
-    let nf = a.n_rows();
     let nc = p.n_cols();
-    // B = A·P, one accumulator row at a time.
-    let mut b: Vec<Vec<(usize, f64)>> = Vec::with_capacity(nf);
-    for i in 0..nf {
-        let mut acc: BTreeMap<usize, f64> = BTreeMap::new();
+    // Transposed first, so its COO scratch is gone before B exists.
+    let pt = p.transpose();
+    let mut spa = SparseAccumulator::new(nc);
+    let (mut b_ptr, mut b_col, mut b_val) = (vec![0usize], Vec::new(), Vec::new());
+    for i in 0..a.n_rows() {
         for (j, aij) in a.row(i) {
             for (jj, pj) in p.row(j) {
-                *acc.entry(jj).or_insert(0.0) += aij * pj;
+                spa.add(jj, aij * pj);
             }
         }
-        b.push(acc.into_iter().collect());
+        spa.flush(true, &mut b_col, &mut b_val);
+        b_ptr.push(b_col.len());
     }
-    // C = Pᵀ·B.
-    let mut c: Vec<BTreeMap<usize, f64>> = vec![BTreeMap::new(); nc];
-    for i in 0..nf {
-        for (ii, pi) in p.row(i) {
-            for &(jj, v) in &b[i] {
-                *c[ii].entry(jj).or_insert(0.0) += pi * v;
+    let (mut c_ptr, mut c_col, mut c_val) = (vec![0usize], Vec::new(), Vec::new());
+    for ii in 0..nc {
+        for (i, pi) in pt.row(ii) {
+            for k in b_ptr[i]..b_ptr[i + 1] {
+                spa.add(b_col[k], pi * b_val[k]);
             }
         }
+        spa.flush(false, &mut c_col, &mut c_val);
+        c_ptr.push(c_col.len());
     }
-    let mut coo = CooMatrix::new(nc, nc);
-    for (i, row) in c.iter().enumerate() {
-        for (&j, &v) in row {
-            if v != 0.0 {
-                coo.push(i, j, v).expect("indices in range");
-            }
-        }
-    }
-    CsrMatrix::from_coo(&coo)
+    CsrMatrix::from_raw(nc, nc, c_ptr, c_col, c_val).expect("accumulated rows are well formed")
 }
 
 fn proc_rows(desc: &ArrayDescriptor, p: usize) -> std::ops::Range<usize> {
@@ -468,7 +606,7 @@ fn level_flops(a: &CsrMatrix, desc: &ArrayDescriptor) -> (Vec<usize>, Vec<usize>
 
 /// Communication shapes and flop counts for one interpolation matrix
 /// under `(BLOCK)` ownership on both sides.
-fn transfer(p: &CsrMatrix, fdesc: &ArrayDescriptor, cdesc: &ArrayDescriptor) -> Transfer {
+fn transfer(p: CsrMatrix, fdesc: &ArrayDescriptor, cdesc: &ArrayDescriptor) -> Transfer {
     let np = fdesc.np();
     let nf = p.n_rows();
     let mut restrict_traffic = vec![vec![0usize; np]; np];
@@ -508,7 +646,7 @@ fn transfer(p: &CsrMatrix, fdesc: &ArrayDescriptor, cdesc: &ArrayDescriptor) -> 
         }
     }
     Transfer {
-        p: p.clone(),
+        p,
         restrict_traffic,
         prolong_traffic,
         restrict_flops,
@@ -519,6 +657,7 @@ fn transfer(p: &CsrMatrix, fdesc: &ArrayDescriptor, cdesc: &ArrayDescriptor) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpf_sparse::{gen, CooMatrix};
 
     #[test]
     fn coarsening_halves_pow2_minus_1_dims_exactly() {
@@ -575,6 +714,21 @@ mod tests {
         assert!((s - 1.0).abs() < 1e-15);
     }
 
+    /// The directly written CSR is column-sorted without duplicates:
+    /// re-sorting it through COO changes nothing, also on grids that
+    /// leave the last fine plane interpolated one-sidedly.
+    #[test]
+    fn interpolation_is_written_in_csr_order() {
+        for f in [
+            GridDims::d2(15, 15),
+            GridDims::d2(8, 10),
+            GridDims::d3(6, 7, 9),
+        ] {
+            let p = interpolation(f, f.coarsen().unwrap());
+            assert_eq!(p, CsrMatrix::from_coo(&p.to_coo()), "{f}");
+        }
+    }
+
     #[test]
     fn halo_traffic_is_symmetric_for_symmetric_operators() {
         let h = MgHierarchy::build(GridDims::d2(15, 15), 2, 4).unwrap();
@@ -602,5 +756,194 @@ mod tests {
             assert!((u - v).abs() < 1e-10);
         }
         assert_eq!(h.coarse.solve_flops(), 2 * n * n);
+    }
+
+    /// The coarse factor as first written: dense, row-major, every
+    /// column of every row. The envelope factor must reproduce it bit
+    /// for bit.
+    struct DenseCholesky {
+        n: usize,
+        l: Vec<f64>,
+    }
+
+    impl DenseCholesky {
+        fn factor(a: &CsrMatrix, level: usize) -> Result<Self, MgError> {
+            let n = a.n_rows();
+            let mut m = vec![0.0f64; n * n];
+            for i in 0..n {
+                for (j, v) in a.row(i) {
+                    m[i * n + j] = v;
+                }
+            }
+            let mut l = vec![0.0f64; n * n];
+            for i in 0..n {
+                for j in 0..=i {
+                    let mut s = m[i * n + j];
+                    for k in 0..j {
+                        s -= l[i * n + k] * l[j * n + k];
+                    }
+                    if i == j {
+                        if s <= 0.0 {
+                            return Err(MgError::NotSpd { level, pivot: i });
+                        }
+                        l[i * n + i] = s.sqrt();
+                    } else {
+                        l[i * n + j] = s / l[j * n + j];
+                    }
+                }
+            }
+            Ok(DenseCholesky { n, l })
+        }
+
+        fn solve(&self, b: &[f64]) -> Vec<f64> {
+            let n = self.n;
+            let mut y = vec![0.0f64; n];
+            for i in 0..n {
+                let mut s = b[i];
+                for k in 0..i {
+                    s -= self.l[i * n + k] * y[k];
+                }
+                y[i] = s / self.l[i * n + i];
+            }
+            for i in (0..n).rev() {
+                let mut s = y[i];
+                for k in (i + 1)..n {
+                    s -= self.l[k * n + i] * y[k];
+                }
+                y[i] = s / self.l[i * n + i];
+            }
+            y
+        }
+    }
+
+    impl EnvelopeCholesky {
+        /// `L` expanded to dense row-major, `+0.0` outside the envelope.
+        fn to_dense(&self) -> Vec<f64> {
+            let n = self.n();
+            let mut d = vec![0.0f64; n * n];
+            for i in 0..n {
+                let row = &self.l[self.row_start[i]..self.row_start[i + 1]];
+                d[i * n + self.first[i]..=i * n + i].copy_from_slice(row);
+            }
+            d
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The Galerkin product as first written: `BTreeMap` accumulators
+    /// for `B = A P`, then a scatter of `Pᵀ B` into per-row maps.
+    fn btree_galerkin(a: &CsrMatrix, p: &CsrMatrix) -> CsrMatrix {
+        use std::collections::BTreeMap;
+        let nc = p.n_cols();
+        let mut b: Vec<Vec<(usize, f64)>> = Vec::new();
+        for i in 0..a.n_rows() {
+            let mut acc: BTreeMap<usize, f64> = BTreeMap::new();
+            for (j, aij) in a.row(i) {
+                for (jj, pj) in p.row(j) {
+                    *acc.entry(jj).or_insert(0.0) += aij * pj;
+                }
+            }
+            b.push(acc.into_iter().collect());
+        }
+        let mut c: Vec<BTreeMap<usize, f64>> = vec![BTreeMap::new(); nc];
+        for (i, bi) in b.iter().enumerate() {
+            for (ii, pi) in p.row(i) {
+                for &(jj, v) in bi {
+                    *c[ii].entry(jj).or_insert(0.0) += pi * v;
+                }
+            }
+        }
+        let mut coo = CooMatrix::new(nc, nc);
+        for (i, row) in c.iter().enumerate() {
+            for (&j, &v) in row {
+                if v != 0.0 {
+                    coo.push(i, j, v).unwrap();
+                }
+            }
+        }
+        CsrMatrix::from_coo(&coo)
+    }
+
+    /// The sparse-accumulator product stores the same entries with the
+    /// same bits as the map-based one, on 2-D and 3-D levels. Poisson
+    /// values and interpolation weights are dyadic, so their Galerkin
+    /// sums are exact in any order; perturbed values make every
+    /// rounding, and so the term order, show.
+    #[test]
+    fn galerkin_matches_the_map_based_product_bit_for_bit() {
+        for dims in [GridDims::d2(31, 31), GridDims::d3(15, 15, 15)] {
+            let fine = dims.poisson();
+            let vals = (0..fine.n_rows())
+                .flat_map(|i| fine.row(i).map(move |(j, v)| (i, j, v)))
+                .map(|(i, j, v)| v * (1.0 + ((i * 31 + j * 17) % 97) as f64 / 323.0))
+                .collect();
+            let n = fine.n_rows();
+            let (ptr, cols) = (fine.row_ptr().to_vec(), fine.col_idx().to_vec());
+            let mut a = CsrMatrix::from_raw(n, n, ptr, cols, vals).unwrap();
+            let mut f = dims;
+            for _ in 0..2 {
+                let c = f.coarsen().unwrap();
+                let p = interpolation(f, c);
+                let fast = galerkin(&a, &p);
+                let slow = btree_galerkin(&a, &p);
+                assert_eq!(fast.row_ptr(), slow.row_ptr(), "{f}");
+                assert_eq!(fast.col_idx(), slow.col_idx(), "{f}");
+                assert_eq!(bits(fast.values()), bits(slow.values()), "{f}");
+                (a, f) = (fast, c);
+            }
+        }
+    }
+
+    /// Envelope factor and solve equal the dense ones bit for bit on
+    /// 2-D and 3-D Galerkin coarse operators, and the transposed copy
+    /// holds exactly the columns of `L`.
+    #[test]
+    fn envelope_cholesky_matches_dense_bit_for_bit() {
+        for (dims, levels) in [
+            (GridDims::d2(31, 31), 3),
+            (GridDims::d3(15, 15, 15), 2),
+            (GridDims::d3(15, 15, 15), 3),
+        ] {
+            let h = MgHierarchy::build(dims, levels, 4).unwrap();
+            let a = &h.levels[levels - 1].a;
+            let n = a.n_rows();
+            let dense = DenseCholesky::factor(a, levels - 1).unwrap();
+            let env = EnvelopeCholesky::factor(a, levels - 1).unwrap();
+            assert_eq!(bits(&env.to_dense()), bits(&dense.l), "{dims} factor");
+            assert!(env.l.len() < n * n, "{dims}: envelope is the full square");
+            for j in 0..n {
+                let col = &env.lt[env.col_start[j]..env.col_start[j + 1]];
+                for (k, v) in (j + 1..).zip(col) {
+                    assert_eq!(v.to_bits(), dense.l[k * n + j].to_bits());
+                }
+            }
+            for seed in 0..5u32 {
+                let b: Vec<f64> = (0..n)
+                    .map(|i| ((i as f64 + 1.0) * (0.37 + f64::from(seed))).sin())
+                    .collect();
+                assert_eq!(
+                    bits(&env.solve(&b)),
+                    bits(&dense.solve(&b)),
+                    "{dims} rhs {seed}"
+                );
+            }
+        }
+    }
+
+    /// On an indefinite matrix both factors give up at the same pivot.
+    #[test]
+    fn envelope_cholesky_reports_the_dense_pivot() {
+        let mut coo = gen::poisson_2d(6, 6).to_coo();
+        for i in 0..36 {
+            coo.push(i, i, -1.5).unwrap();
+        }
+        let a = CsrMatrix::from_coo(&coo);
+        let dense = DenseCholesky::factor(&a, 1).err().unwrap();
+        let env = EnvelopeCholesky::factor(&a, 1).err().unwrap();
+        assert!(matches!(dense, MgError::NotSpd { level: 1, pivot } if pivot > 0));
+        assert_eq!(env, dense);
     }
 }

@@ -10,12 +10,15 @@
 //! * [`MgHierarchy`] — 2–4 levels over the Poisson generators (5-point
 //!   2-D / 7-point 3-D), Galerkin coarse operators `Pᵀ A P` of
 //!   bilinear / trilinear interpolation, `(BLOCK)` descriptors per
-//!   level, precomputed halo and transfer traffic matrices, dense
-//!   Cholesky at the bottom.
+//!   level, precomputed halo and transfer traffic matrices, envelope
+//!   (skyline) Cholesky at the bottom — bit-identical to a dense
+//!   factor, which is what the simulated clock still charges (`2·n²`
+//!   flops per coarse solve).
 //! * Block symmetric Gauss-Seidel smoothing — forward+backward sweeps
-//!   over each processor's diagonal block (pure local compute), with
-//!   cross-block couplings handled by the residual's priced boundary
-//!   exchange.
+//!   over each processor's diagonal block (pure local compute), each
+//!   row pre-split into its in-block lower and upper slices at build
+//!   time, with cross-block couplings handled by the residual's priced
+//!   boundary exchange.
 //! * [`MgPreconditioner`] — the V(1,1)-cycle as a
 //!   [`DistPreconditioner`](hpf_solvers::DistPreconditioner), plugging
 //!   into [`hpf_solvers::pcg_distributed`] with or without

@@ -7,7 +7,9 @@
 //! transfers as typed `Redistribute` events ([`Machine::exchange`]),
 //! and the coarsest solve as a gather / serial-Cholesky / scatter
 //! sequence, so unequal coarse block sizes exercise the varying-payload
-//! gather pricing. Every event lands under a
+//! gather pricing. The host solves through the envelope Cholesky
+//! factor; the simulated clock charges the dense `2·n²` solve, which
+//! gives the same bits. Every event lands under a
 //! `vcycle/level=l/{smooth,residual,restrict,prolong,coarse}` span
 //! path; level spans are entered per *phase* (never nested across
 //! levels), so `span::level_of` always reads the level the work
@@ -19,7 +21,6 @@
 //! convergence theory applies unchanged.
 
 use crate::hierarchy::MgHierarchy;
-use crate::smoother;
 use hpf_core::DistVector;
 use hpf_machine::{span, Machine};
 use hpf_solvers::DistPreconditioner;
@@ -54,12 +55,12 @@ impl MgPreconditioner {
         let lvl = &self.h.levels[level];
         let _s = span::enter("smooth");
         machine.compute_all(&lvl.smooth_flops, "mg-smooth");
-        smoother::symgs(&lvl.a, &lvl.desc, r)
+        lvl.smoother.apply(&lvl.a, r)
     }
 
     /// Exact solve at the bottom: funnel the coarse residual to the
-    /// root, back-substitute through the prebuilt Cholesky factor, fan
-    /// the correction back out.
+    /// root, back-substitute through the prebuilt envelope Cholesky
+    /// factor, fan the correction back out.
     fn coarse_solve(&self, machine: &mut Machine, level: usize, r: &[f64]) -> Vec<f64> {
         let _lv = span::enter(format!("level={level}"));
         let _s = span::enter("coarse");

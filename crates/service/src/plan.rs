@@ -48,7 +48,8 @@ pub struct SolvePlan {
     /// structure at a different depth is a different plan.
     pub mg_levels: usize,
     /// Prebuilt V-cycle preconditioner (Galerkin coarse operators,
-    /// traffic matrices, Cholesky factor) — the expensive, reusable
+    /// traffic matrices, pre-split smoother rows, envelope Cholesky
+    /// factor of the coarsest operator) — the expensive, reusable
     /// part of an HPCG-class job, cached exactly like partitioning.
     pub mg: Option<Arc<MgPreconditioner>>,
 }
