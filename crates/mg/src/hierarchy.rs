@@ -501,14 +501,14 @@ impl SparseAccumulator {
         self.vals[j] += v;
     }
 
-    /// Append the accumulated row in column order (dropping exact zeros
-    /// unless `keep_zeros`) and reset for the next row.
-    fn flush(&mut self, keep_zeros: bool, cols: &mut Vec<usize>, vals: &mut Vec<f64>) {
+    /// Append the accumulated row's nonzeros in column order and reset
+    /// for the next row.
+    fn flush(&mut self, cols: &mut Vec<usize>, vals: &mut Vec<f64>) {
         self.touched.sort_unstable();
         for &j in &self.touched {
             let v = std::mem::take(&mut self.vals[j]);
             self.seen[j] = false;
-            if keep_zeros || v != 0.0 {
+            if v != 0.0 {
                 cols.push(j);
                 vals.push(v);
             }
@@ -517,12 +517,13 @@ impl SparseAccumulator {
     }
 }
 
-/// Galerkin triple product `Pᵀ A P`, exact and deterministic. `B = A P`
-/// is formed row by row, then `C = Pᵀ B` row by row through the rows of
+/// Galerkin triple product `Pᵀ A P`, deterministic. `B = A P` is
+/// formed row by row, then `C = Pᵀ B` row by row through the rows of
 /// `Pᵀ`, so every entry `C[I, J]` sums its terms over the fine rows `i`
 /// in ascending order, each `B[i, J]` in the storage order of `A`'s row
-/// `i` — the same order as a column-by-column scatter of `Pᵀ B`.
-/// Entries that cancel to exactly zero are not stored.
+/// `i`. Entries that cancel to exactly zero are not stored: an
+/// accumulator starts at `+0.0`, so adding the `±0` terms a stored zero
+/// of `B` would contribute never changes an entry of `C`.
 fn galerkin(a: &CsrMatrix, p: &CsrMatrix) -> CsrMatrix {
     let nc = p.n_cols();
     // Transposed first, so its COO scratch is gone before B exists.
@@ -535,7 +536,7 @@ fn galerkin(a: &CsrMatrix, p: &CsrMatrix) -> CsrMatrix {
                 spa.add(jj, aij * pj);
             }
         }
-        spa.flush(true, &mut b_col, &mut b_val);
+        spa.flush(&mut b_col, &mut b_val);
         b_ptr.push(b_col.len());
     }
     let (mut c_ptr, mut c_col, mut c_val) = (vec![0usize], Vec::new(), Vec::new());
@@ -545,7 +546,7 @@ fn galerkin(a: &CsrMatrix, p: &CsrMatrix) -> CsrMatrix {
                 spa.add(b_col[k], pi * b_val[k]);
             }
         }
-        spa.flush(false, &mut c_col, &mut c_val);
+        spa.flush(&mut c_col, &mut c_val);
         c_ptr.push(c_col.len());
     }
     CsrMatrix::from_raw(nc, nc, c_ptr, c_col, c_val).expect("accumulated rows are well formed")
@@ -870,8 +871,9 @@ mod tests {
     /// The sparse-accumulator product stores the same entries with the
     /// same bits as the map-based one, on 2-D and 3-D levels. Poisson
     /// values and interpolation weights are dyadic, so their Galerkin
-    /// sums are exact in any order; perturbed values make every
-    /// rounding, and so the term order, show.
+    /// sums are exact in any order and hold exact zeros in `B = A P`;
+    /// perturbed values make every rounding, and so the term order,
+    /// show.
     #[test]
     fn galerkin_matches_the_map_based_product_bit_for_bit() {
         for dims in [GridDims::d2(31, 31), GridDims::d3(15, 15, 15)] {
@@ -882,17 +884,19 @@ mod tests {
                 .collect();
             let n = fine.n_rows();
             let (ptr, cols) = (fine.row_ptr().to_vec(), fine.col_idx().to_vec());
-            let mut a = CsrMatrix::from_raw(n, n, ptr, cols, vals).unwrap();
-            let mut f = dims;
-            for _ in 0..2 {
-                let c = f.coarsen().unwrap();
-                let p = interpolation(f, c);
-                let fast = galerkin(&a, &p);
-                let slow = btree_galerkin(&a, &p);
-                assert_eq!(fast.row_ptr(), slow.row_ptr(), "{f}");
-                assert_eq!(fast.col_idx(), slow.col_idx(), "{f}");
-                assert_eq!(bits(fast.values()), bits(slow.values()), "{f}");
-                (a, f) = (fast, c);
+            let perturbed = CsrMatrix::from_raw(n, n, ptr, cols, vals).unwrap();
+            for mut a in [fine, perturbed] {
+                let mut f = dims;
+                for _ in 0..2 {
+                    let c = f.coarsen().unwrap();
+                    let p = interpolation(f, c);
+                    let fast = galerkin(&a, &p);
+                    let slow = btree_galerkin(&a, &p);
+                    assert_eq!(fast.row_ptr(), slow.row_ptr(), "{f}");
+                    assert_eq!(fast.col_idx(), slow.col_idx(), "{f}");
+                    assert_eq!(bits(fast.values()), bits(slow.values()), "{f}");
+                    (a, f) = (fast, c);
+                }
             }
         }
     }

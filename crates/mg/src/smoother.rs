@@ -16,7 +16,7 @@ use hpf_sparse::CsrMatrix;
 /// Storage positions of one row's in-block parts: the lower part is
 /// `lower..diag`, the diagonal sits at `diag`, the upper part is
 /// `diag + 1..upper`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 struct SplitRow {
     lower: usize,
     diag: usize,

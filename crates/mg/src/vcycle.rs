@@ -8,8 +8,8 @@
 //! and the coarsest solve as a gather / serial-Cholesky / scatter
 //! sequence, so unequal coarse block sizes exercise the varying-payload
 //! gather pricing. The host solves through the envelope Cholesky
-//! factor; the simulated clock charges the dense `2·n²` solve, which
-//! gives the same bits. Every event lands under a
+//! factor, bit-identical to the dense `2·n²` solve the simulated clock
+//! charges. Every event lands under a
 //! `vcycle/level=l/{smooth,residual,restrict,prolong,coarse}` span
 //! path; level spans are entered per *phase* (never nested across
 //! levels), so `span::level_of` always reads the level the work
